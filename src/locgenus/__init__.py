@@ -49,7 +49,6 @@ from .genus import (
     assemble_global,
     build_fake_sphere,
     classify_postnikov_genus,
-    classify_rational_genus,
     classifying_map_class,
     cp_fake_descriptor,
     enumerate_postnikov_genus,
@@ -60,7 +59,6 @@ from .rankone import (
     LocalIso,
     RankOneGroup,
     TypeClass,
-    member,
     similar,
     type_of,
 )
@@ -105,14 +103,12 @@ __all__ = [
     "beta",
     "build_fake_sphere",
     "classify_postnikov_genus",
-    "classify_rational_genus",
     "classifying_map_class",
     "cp_fake_descriptor",
     "enumerate_postnikov_genus",
     "factorize",
     "finite_complex_genus_verdict",
     "is_prime",
-    "member",
     "mod_one",
     "p_primary_parts",
     "padic_decompose",

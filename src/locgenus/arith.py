@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DomainError, FactorBoundError, PrecisionError
 
@@ -25,7 +25,29 @@ DEFAULT_PRIME_BOUND = 10**6
 DEFAULT_PRECISION = 32
 
 
-class InfinityType:
+class _Sentinel:
+    """A singleton value, equal only to itself and printed as ``_text``."""
+
+    __slots__ = ()
+    _text: str
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(("locgenus", self._text))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        return self._text
+
+
+class InfinityType(_Sentinel):
     """Singleton sentinel for an infinite height.
 
     Compares strictly greater than every int, so ``min``/``max`` combine
@@ -36,6 +58,7 @@ class InfinityType:
     """
 
     __slots__ = ()
+    _text = "inf"
 
     def __lt__(self, other):
         if isinstance(other, (int, InfinityType)):
@@ -61,12 +84,6 @@ class InfinityType:
             return True
         return NotImplemented
 
-    def __eq__(self, other):
-        return isinstance(other, InfinityType)
-
-    def __hash__(self):
-        return hash("locgenus.INFINITY")
-
     def __add__(self, other):
         if isinstance(other, (int, InfinityType)):
             return self
@@ -74,35 +91,12 @@ class InfinityType:
 
     __radd__ = __add__
 
-    def __copy__(self):
-        return self
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __repr__(self):
-        return "inf"
-
-
-class StarType:
+class StarType(_Sentinel):
     """Singleton base point adjoined to the natural numbers."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, StarType)
-
-    def __hash__(self):
-        return hash("locgenus.STAR")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __repr__(self):
-        return "*"
+    _text = "*"
 
 
 INFINITY = InfinityType()
@@ -113,8 +107,6 @@ Height = Union[int, InfinityType]
 
 #: An element of the pointed naturals: a non-negative integer or STAR.
 NatPlus = Union[int, StarType]
-
-Rat = Fraction
 
 
 def is_height(value: object) -> bool:
@@ -322,3 +314,131 @@ def padic_decompose(z: PAdicApprox) -> tuple[int, PAdicApprox] | StarType:
         u //= z.prime
         k += 1
     return k, PAdicApprox(z.prime, z.precision - k, u)
+
+
+class PrimeMap:
+    """A value at every prime: a default plus finitely many exceptions.
+
+    Subclasses fix the legal values (``_is_value``, described by
+    ``_domain`` in errors) and the ``_label`` that names them. Exceptions
+    that repeat the default are dropped and the rest kept in ascending
+    prime order, so equal data gives equal maps; maps of different classes
+    are never equal.
+    """
+
+    __slots__ = ("_default", "_exceptions")
+
+    def __init__(self, default, exceptions: Mapping[int, object] | None = None):
+        is_value = self._is_value
+        if not is_value(default):
+            raise DomainError(f"{self._label} default must be {self._domain}")
+        cleaned = {}
+        for p, value in sorted((exceptions or {}).items()):
+            if not is_prime(p):
+                raise DomainError(f"{self._label} key {p} is not prime")
+            if not is_value(value):
+                raise DomainError(f"{self._label} entry at {p} must be {self._domain}")
+            if value != default:
+                cleaned[p] = value
+        self._default = default
+        self._exceptions = cleaned
+
+    @property
+    def default(self):
+        return self._default
+
+    @property
+    def exceptions(self) -> dict:
+        return dict(self._exceptions)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The primes carrying an explicit exception, ascending."""
+        return tuple(self._exceptions)
+
+    def value_at(self, p: int):
+        _require_prime(p)
+        return self._exceptions.get(p, self._default)
+
+    def _key(self) -> tuple:
+        return self._default, tuple(self._exceptions.items())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        parts = [f"default:{self._default}"]
+        parts += [f"{p}:{v}" for p, v in self._exceptions.items()]
+        return "{" + ", ".join(parts) + "}"
+
+
+class PrimeSet:
+    """A finite or cofinite set of primes.
+
+    Stored as a finite set of listed primes, which are the members or,
+    for a cofinite set, the only non-members.
+    """
+
+    __slots__ = ("_primes", "_complement")
+
+    def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
+        prime_set = frozenset(primes)
+        for p in prime_set:
+            _require_prime(p)
+        self._primes = prime_set
+        self._complement = complement
+
+    @classmethod
+    def where(cls, values: PrimeMap, predicate: Callable[[object], bool]) -> "PrimeSet":
+        """The primes at which the value of ``values`` satisfies ``predicate``."""
+        cofinite = predicate(values._default)
+        # The keys of a PrimeMap are already proven prime.
+        shape = cls.__new__(cls)
+        shape._primes = frozenset(
+            [p for p, v in values._exceptions.items() if predicate(v) != cofinite]
+        )
+        shape._complement = cofinite
+        return shape
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._complement and not self._primes
+
+    @property
+    def is_cofinite(self) -> bool:
+        return self._complement
+
+    @property
+    def listed_primes(self) -> frozenset[int]:
+        """The stored finite set: included primes, or excluded if cofinite."""
+        return self._primes
+
+    def contains(self, p: int) -> bool:
+        _require_prime(p)
+        return (p in self._primes) != self._complement
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._primes == other._primes and self._complement == other._complement
+
+    def __hash__(self):
+        return hash((self._primes, self._complement))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        """``none``, ``2,3``, ``all`` or ``all_except 2,3``."""
+        primes = ",".join(str(p) for p in sorted(self._primes))
+        if self._complement:
+            return f"all_except {primes}" if primes else "all"
+        return primes or "none"

@@ -39,7 +39,6 @@ from .genus import (
     PostnikovGenusDescriptor,
     PostnikovSection,
     RationalGenusElement,
-    TorsionShape,
     assemble_global,
     cp_fake_descriptor,
     enumerate_postnikov_genus,
@@ -72,7 +71,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("number", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # Decimals past the interpreter's digit limit refuse to convert.
+                raise ParseError(f"number of {j - i} digits is too long", i) from None
+            tokens.append(("number", value, i))
             i = j
             continue
         if c.isalpha():
@@ -180,21 +184,6 @@ def _format_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _format_nat_plus(value) -> str:
-    return "*" if isinstance(value, StarType) else str(value)
-
-
-def _format_torsion(shape: TorsionShape) -> str:
-    primes = ",".join(str(p) for p in sorted(shape.listed_primes))
-    if shape.is_cofinite:
-        return f"all_except {primes}" if primes else "all"
-    return primes if primes else "none"
-
-
-def _torsion_payload(shape: TorsionShape) -> dict:
-    return {"cofinite": shape.is_cofinite, "primes": sorted(shape.listed_primes)}
-
-
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (text lines, JSON payload)
 # ---------------------------------------------------------------------------
@@ -229,13 +218,14 @@ def _cmd_genus_rational(args):
     lines = [
         f"type: {class_text}",
         f"pi_n: {pi_n}",
-        f"torsion_primes: {_format_torsion(torsion)}",
+        f"torsion_primes: {torsion}",
         f"connected: {_format_bool(connected)}",
     ]
+    torsion_json = {"cofinite": torsion.is_cofinite, "primes": sorted(torsion.listed_primes)}
     payload = {
         "type": class_text,
         "pi_n": str(pi_n),
-        "torsion_primes": _torsion_payload(torsion),
+        "torsion_primes": torsion_json,
         "connected": connected,
     }
     return lines, payload
@@ -272,7 +262,7 @@ def _cmd_padic_class(args):
         approx = PAdicApprox.from_int(n, args.prime, args.precision)
     decomposition = padic_decompose(approx)
     result = STAR if isinstance(decomposition, StarType) else decomposition[0]
-    text = _format_nat_plus(result)
+    text = str(result)
     return [text], {"class": text if isinstance(result, StarType) else result}
 
 

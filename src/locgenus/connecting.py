@@ -92,11 +92,9 @@ class QmodZElement:
         return QmodZElement(-self._value)
 
     def __eq__(self, other):
-        if isinstance(other, QmodZElement):
-            return self._value == other._value
-        if isinstance(other, (int, Fraction)):
-            return self._value == mod_one(Fraction(other))
-        return NotImplemented
+        if not isinstance(other, QmodZElement):
+            return NotImplemented
+        return self._value == other._value
 
     def __hash__(self):
         return hash(("QmodZ", self._value))

@@ -24,20 +24,21 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .arith import (
     NatPlus,
     PAdicApprox,
+    PrimeMap,
+    PrimeSet,
     STAR,
     StarType,
     InfinityType,
     is_nat_plus,
     is_prime,
     padic_decompose,
-    primes_up_to,
 )
 from .connecting import ConnectingHom
 from .errors import DomainError, EnumerationLimitError, FingerprintCapError
@@ -56,7 +57,7 @@ def _require_odd_dimension(n: int) -> None:
         raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
 
 
-class TorsionShape:
+class TorsionShape(PrimeSet):
     """A direct sum of full Pruefer groups, one per prime in a stored set.
 
     The set is either an explicit finite set of primes or the complement
@@ -64,53 +65,12 @@ class TorsionShape:
     height sequence.
     """
 
-    __slots__ = ("_primes", "_complement")
-
-    def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
-        prime_set = frozenset(primes)
-        for p in prime_set:
-            if not is_prime(p):
-                raise DomainError(f"torsion prime {p} is not prime")
-        self._primes = prime_set
-        self._complement = complement
+    __slots__ = ()
 
     @classmethod
     def from_heights(cls, heights: HeightSequence) -> "TorsionShape":
         """The primes where the height is infinite."""
-        if isinstance(heights.default, InfinityType):
-            return cls(heights.finite_exception_primes(), complement=True)
-        return cls(heights.infinite_exception_primes())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._complement and not self._primes
-
-    @property
-    def is_cofinite(self) -> bool:
-        return self._complement
-
-    @property
-    def listed_primes(self) -> frozenset[int]:
-        """The stored finite set: included primes, or excluded if cofinite."""
-        return self._primes
-
-    def contains(self, p: int) -> bool:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return (p in self._primes) != self._complement
-
-    def __eq__(self, other):
-        if not isinstance(other, TorsionShape):
-            return NotImplemented
-        return self._primes == other._primes and self._complement == other._complement
-
-    def __hash__(self):
-        return hash((self._primes, self._complement))
-
-    def __repr__(self):
-        if self._complement:
-            return f"TorsionShape(all primes except {sorted(self._primes)})"
-        return f"TorsionShape({sorted(self._primes)})"
+        return cls.where(heights, lambda h: isinstance(h, InfinityType))
 
 
 class RationalGenusElement:
@@ -163,18 +123,18 @@ class RationalGenusElement:
         return f"RationalGenusElement(dimension={self._dimension}, hom={self._hom!r})"
 
 
-def classify_rational_genus(element: RationalGenusElement) -> TypeClass:
-    return element.classify()
-
-
-class PostnikovGenusDescriptor:
+class PostnikovGenusDescriptor(PrimeMap):
     """One pointed natural number per prime, eventually equal to a default.
 
     The complete invariant for the Postnikov genus of an odd sphere; the
-    standard sphere is the all-zero descriptor.
+    standard sphere is the all-zero descriptor. Descriptors of different
+    dimensions are never equal.
     """
 
-    __slots__ = ("_dimension", "_default", "_exceptions")
+    __slots__ = ("_dimension",)
+    _is_value = staticmethod(is_nat_plus)
+    _label = "descriptor"
+    _domain = "a non-negative integer or *"
 
     def __init__(
         self,
@@ -183,69 +143,24 @@ class PostnikovGenusDescriptor:
         exceptions: Mapping[int, NatPlus] | None = None,
     ):
         _require_odd_dimension(dimension)
-        if not is_nat_plus(default):
-            raise DomainError("descriptor default must be a non-negative integer or *")
-        cleaned: dict[int, NatPlus] = {}
-        for p, value in sorted((exceptions or {}).items()):
-            if not is_prime(p):
-                raise DomainError(f"descriptor key {p} is not prime")
-            if not is_nat_plus(value):
-                raise DomainError(
-                    f"descriptor entry at {p} must be a non-negative integer or *"
-                )
-            if value != default:
-                cleaned[p] = value
+        PrimeMap.__init__(self, default, exceptions)
         self._dimension = dimension
-        self._default = default
-        self._exceptions = cleaned
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
     @property
-    def default(self) -> NatPlus:
-        return self._default
-
-    @property
-    def exceptions(self) -> dict[int, NatPlus]:
-        return dict(self._exceptions)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._exceptions)
-
-    @property
     def is_standard(self) -> bool:
         return self._default == 0 and not self._exceptions
 
-    def entry_at(self, p: int) -> NatPlus:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return self._exceptions.get(p, self._default)
+    entry_at = PrimeMap.value_at
 
-    def __eq__(self, other):
-        if not isinstance(other, PostnikovGenusDescriptor):
-            return NotImplemented
-        return (
-            self._dimension == other._dimension
-            and self._default == other._default
-            and self._exceptions == other._exceptions
-        )
-
-    def __hash__(self):
-        return hash((self._dimension, self._default, tuple(self._exceptions.items())))
+    def _key(self) -> tuple:
+        return (self._dimension, *super()._key())
 
     def __repr__(self):
-        return (
-            f"PostnikovGenusDescriptor(dimension={self._dimension}, "
-            f"default={self._default!r}, exceptions={self._exceptions!r})"
-        )
-
-    def __str__(self):
-        parts = [f"default:{self._default}"]
-        parts += [f"{p}:{v}" for p, v in self._exceptions.items()]
-        return "{" + ", ".join(parts) + "}"
+        return f"PostnikovGenusDescriptor(dimension={self._dimension}, {self})"
 
 
 class FakeSphereModel:
@@ -350,11 +265,6 @@ def build_fake_sphere(dimension: int, p: int, k: NatPlus) -> FakeSphereModel:
     the product of the completed connected cover with the integral
     Eilenberg-MacLane space. Every other prime carries the base point.
     """
-    _require_odd_dimension(dimension)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if not is_nat_plus(k):
-        raise DomainError("invariant must be a non-negative integer or *")
     return FakeSphereModel(PostnikovGenusDescriptor(dimension, STAR, {p: k}))
 
 
@@ -365,7 +275,6 @@ def assemble_global(dimension: int, descriptor: PostnikovGenusDescriptor) -> Fak
     descriptor's entry there; the all-zero descriptor models the standard
     sphere.
     """
-    _require_odd_dimension(dimension)
     if descriptor.dimension != dimension:
         raise DomainError(
             f"descriptor dimension {descriptor.dimension} does not match {dimension}"
@@ -382,8 +291,6 @@ def classifying_map_class(dimension: int, p: int, z: PAdicApprox) -> NatPlus:
     class.
     """
     _require_odd_dimension(dimension)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     if z.prime != p:
         raise DomainError(f"p-adic parameter lives at {z.prime}, not {p}")
     decomposition = padic_decompose(z)
@@ -403,8 +310,6 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
         raise DomainError(f"complex dimension must be a positive integer, got {n!r}")
     entries: dict[int, int] = {}
     for p, k in degree_exponents.items():
-        if not is_prime(p):
-            raise DomainError(f"degree key {p} is not prime")
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DomainError(f"degree exponent at {p} must be a non-negative integer")
         entries[p] = n * k
@@ -425,12 +330,19 @@ def enumerate_postnikov_genus(
         raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
     if entry_bound < 0:
         raise DomainError(f"entry bound must be non-negative, got {entry_bound}")
-    primes = primes_up_to(prime_bound)
-    count = (entry_bound + 2) ** len(primes)
-    if count > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"enumeration would produce {count} descriptors (limit {ENUMERATION_LIMIT})"
-        )
+    # Size the enumeration prime by prime, so an oversized request is
+    # refused after a few primes, before anything is allocated.
+    primes: list[int] = []
+    count = 1
+    for p in range(2, prime_bound + 1):
+        if is_prime(p):
+            primes.append(p)
+            count *= entry_bound + 2
+            if count > ENUMERATION_LIMIT:
+                raise EnumerationLimitError(
+                    f"enumeration would produce more than {ENUMERATION_LIMIT} "
+                    f"descriptors (limit passed at prime {p})"
+                )
     values: list[NatPlus] = list(range(entry_bound + 1)) + [STAR]
     return [
         PostnikovGenusDescriptor(dimension, 0, dict(zip(primes, combo)))
@@ -480,6 +392,7 @@ _KNOWN_COUNTEREXAMPLES = {
 }
 
 
+@dataclass(frozen=True)
 class FiniteComplexDescriptor:
     """A catalogued finite complex with the metadata the verdicts need.
 
@@ -487,15 +400,12 @@ class FiniteComplexDescriptor:
     spaces CP<n> (n >= 1), and the two products S2xS5 and CP2xS3. All are
     simply connected finite complexes; stored per space are whether the
     second homotopy group is finite and the level above which rational
-    homotopy vanishes.
+    homotopy vanishes. Descriptors are equal when their tags are.
     """
 
-    __slots__ = ("_tag", "_pi2_finite", "_rational_vanishing_level")
-
-    def __init__(self, tag: str, pi2_finite: bool, rational_vanishing_level: int):
-        self._tag = tag
-        self._pi2_finite = pi2_finite
-        self._rational_vanishing_level = rational_vanishing_level
+    tag: str
+    pi2_finite: bool = field(compare=False)
+    rational_vanishing_level: int = field(compare=False)
 
     @classmethod
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
@@ -518,32 +428,6 @@ class FiniteComplexDescriptor:
                 raise DomainError(f"unknown complex tag {tag!r}")
             return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
         raise DomainError(f"unknown complex tag {tag!r}")
-
-    @property
-    def tag(self) -> str:
-        return self._tag
-
-    @property
-    def pi2_finite(self) -> bool:
-        return self._pi2_finite
-
-    @property
-    def rational_vanishing_level(self) -> int:
-        return self._rational_vanishing_level
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteComplexDescriptor):
-            return NotImplemented
-        return self._tag == other._tag
-
-    def __hash__(self):
-        return hash(("FiniteComplexDescriptor", self._tag))
-
-    def __repr__(self):
-        return (
-            f"FiniteComplexDescriptor({self._tag!r}, pi2_finite={self._pi2_finite}, "
-            f"rational_vanishing_level={self._rational_vanishing_level})"
-        )
 
 
 def finite_complex_genus_verdict(

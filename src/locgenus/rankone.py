@@ -25,30 +25,19 @@ from .arith import (
     Height,
     INFINITY,
     InfinityType,
+    PrimeMap,
+    PrimeSet,
     factorize,
     is_height,
-    is_prime,
 )
 from .errors import DomainError
 
 
-def _validated_entries(
-    default: Height, entries: Mapping[int, Height] | None, label: str
-) -> dict[int, Height]:
-    if not is_height(default):
-        raise DomainError(f"{label} default must be a non-negative integer or inf")
-    cleaned: dict[int, Height] = {}
-    for p, value in sorted((entries or {}).items()):
-        if not is_prime(p):
-            raise DomainError(f"{label} key {p} is not prime")
-        if not is_height(value):
-            raise DomainError(f"{label} entry at {p} must be a non-negative integer or inf")
-        if value != default:
-            cleaned[p] = value
-    return cleaned
+def _is_infinite(h: Height) -> bool:
+    return isinstance(h, InfinityType)
 
 
-class HeightSequence:
+class HeightSequence(PrimeMap):
     """An eventually constant sequence of heights, one entry per prime.
 
     Stored as a single default plus finitely many exceptions; an entry that
@@ -60,97 +49,51 @@ class HeightSequence:
     (3, 0, inf)
     """
 
-    __slots__ = ("_default", "_exceptions")
+    __slots__ = ()
+    _is_value = staticmethod(is_height)
+    _label = "height"
+    _domain = "a non-negative integer or inf"
 
+    # Defined here, not inherited, so that perfbench/tracing.py can time the
+    # construction of height sequences on their own.
     def __init__(self, default: Height = 0, exceptions: Mapping[int, Height] | None = None):
-        self._default = default
-        self._exceptions = _validated_entries(default, exceptions, "height")
+        PrimeMap.__init__(self, default, exceptions)
 
-    @property
-    def default(self) -> Height:
-        return self._default
-
-    @property
-    def exceptions(self) -> dict[int, Height]:
-        return dict(self._exceptions)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """The primes carrying an explicit exception, ascending."""
-        return tuple(self._exceptions)
-
-    def height_at(self, p: int) -> Height:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return self._exceptions.get(p, self._default)
+    height_at = PrimeMap.value_at
 
     def infinite_exception_primes(self) -> frozenset[int]:
-        return frozenset(
-            p for p, v in self._exceptions.items() if isinstance(v, InfinityType)
-        )
+        return frozenset(p for p, v in self._exceptions.items() if _is_infinite(v))
 
     def finite_exception_primes(self) -> frozenset[int]:
-        return frozenset(
-            p for p, v in self._exceptions.items() if not isinstance(v, InfinityType)
-        )
+        return frozenset(p for p, v in self._exceptions.items() if not _is_infinite(v))
 
     def all_finite(self) -> bool:
         """True iff no entry, default included, is infinite."""
-        if isinstance(self._default, InfinityType):
-            return False
-        return not self.infinite_exception_primes()
-
-    def __eq__(self, other):
-        if not isinstance(other, HeightSequence):
-            return NotImplemented
-        return self._default == other._default and self._exceptions == other._exceptions
-
-    def __hash__(self):
-        return hash((self._default, tuple(self._exceptions.items())))
-
-    def __repr__(self):
-        return f"HeightSequence({self._default!r}, {self._exceptions!r})"
-
-    def __str__(self):
-        parts = [f"default:{self._default}"]
-        parts += [f"{p}:{v}" for p, v in self._exceptions.items()]
-        return "{" + ", ".join(parts) + "}"
+        return PrimeSet.where(self, _is_infinite).is_empty
 
 
 def similar(s: HeightSequence, t: HeightSequence) -> bool:
     """Whether two height sequences lie in the same similarity class.
 
     Requires infinity at exactly the same primes, and a finite total
-    difference over the finite entries. With eventually constant data the
-    sum of differences is finite exactly when the defaults agree wherever
-    both sequences sit at their default, which for finite defaults means
-    the defaults are equal.
+    difference over the finite entries. With eventually constant data that
+    difference is finite exactly when the finite defaults are equal, so
+    two sequences are similar iff their types are equal.
     """
-    s_inf_default = isinstance(s.default, InfinityType)
-    t_inf_default = isinstance(t.default, InfinityType)
-    if s_inf_default != t_inf_default:
-        return False
-    if s_inf_default:
-        # Infinite positions are cofinite on both sides; they coincide iff
-        # the finitely many finite-valued primes coincide as sets.
-        return s.finite_exception_primes() == t.finite_exception_primes()
-    if s.infinite_exception_primes() != t.infinite_exception_primes():
-        return False
-    # Finite defaults rule all but finitely many primes, so any default
-    # mismatch already diverges.
-    return s.default == t.default
+    return type_of(s) == type_of(t)
 
 
 class TypeClass:
     """Canonical form of a similarity class of height sequences.
 
     Finite deviations from a finite default carry no invariant content and
-    are erased; only the default and the set of off-default infinity
-    positions (finite default) or finite positions (infinite default)
-    survive.
+    are erased; only the default and the set of primes of infinite height
+    survive. That set is finite under a finite default (the off-default
+    ``infinite_primes``) and cofinite under an infinite one (all but the
+    ``finite_primes``).
     """
 
-    __slots__ = ("_default", "_infinite_primes", "_finite_primes")
+    __slots__ = ("_default", "_infinite")
 
     def __init__(
         self,
@@ -160,19 +103,21 @@ class TypeClass:
     ):
         if not is_height(default):
             raise DomainError("type default must be a non-negative integer or inf")
-        inf_primes = frozenset(infinite_primes)
-        fin_primes = frozenset(finite_primes)
-        for p in inf_primes | fin_primes:
-            if not is_prime(p):
-                raise DomainError(f"type prime {p} is not prime")
-        if isinstance(default, InfinityType):
-            if inf_primes:
-                raise DomainError("infinite default cannot list infinite primes")
-        elif fin_primes:
-            raise DomainError("finite default cannot list finite primes")
+        cofinite = _is_infinite(default)
+        if frozenset(infinite_primes if cofinite else finite_primes):
+            kind = "infinite" if cofinite else "finite"
+            raise DomainError(f"{kind} default cannot list {kind} primes")
         self._default = default
-        self._infinite_primes = inf_primes
-        self._finite_primes = fin_primes
+        listed = finite_primes if cofinite else infinite_primes
+        self._infinite = PrimeSet(listed, complement=cofinite)
+
+    @classmethod
+    def _of(cls, default: Height, infinite: PrimeSet) -> "TypeClass":
+        """Wrap an already validated locus without checking it again."""
+        type_class = cls.__new__(cls)
+        type_class._default = default
+        type_class._infinite = infinite
+        return type_class
 
     @property
     def default(self) -> Height:
@@ -180,11 +125,11 @@ class TypeClass:
 
     @property
     def infinite_primes(self) -> frozenset[int]:
-        return self._infinite_primes
+        return frozenset() if self._infinite.is_cofinite else self._infinite.listed_primes
 
     @property
     def finite_primes(self) -> frozenset[int]:
-        return self._finite_primes
+        return self._infinite.listed_primes if self._infinite.is_cofinite else frozenset()
 
     def canonical_heights(self) -> HeightSequence:
         """The distinguished representative sequence of this class.
@@ -192,29 +137,20 @@ class TypeClass:
         Finite positions under an infinite default are normalized to 0;
         any finite value there would be similar.
         """
-        if isinstance(self._default, InfinityType):
-            return HeightSequence(INFINITY, {p: 0 for p in self._finite_primes})
-        return HeightSequence(
-            self._default, {p: INFINITY for p in self._infinite_primes}
-        )
+        marker = 0 if self._infinite.is_cofinite else INFINITY
+        listed = self._infinite.listed_primes
+        return HeightSequence(self._default, dict.fromkeys(listed, marker))
 
     def __eq__(self, other):
         if not isinstance(other, TypeClass):
             return NotImplemented
-        return (
-            self._default == other._default
-            and self._infinite_primes == other._infinite_primes
-            and self._finite_primes == other._finite_primes
-        )
+        return self._default == other._default and self._infinite == other._infinite
 
     def __hash__(self):
-        return hash((self._default, self._infinite_primes, self._finite_primes))
+        return hash((self._default, self._infinite))
 
     def __repr__(self):
-        return (
-            f"TypeClass({self._default!r}, infinite_primes={sorted(self._infinite_primes)}, "
-            f"finite_primes={sorted(self._finite_primes)})"
-        )
+        return f"TypeClass({self})"
 
     def __str__(self):
         return str(self.canonical_heights())
@@ -225,9 +161,7 @@ def type_of(s: HeightSequence) -> TypeClass:
 
     type_of(s) == type_of(t) exactly when similar(s, t).
     """
-    if isinstance(s.default, InfinityType):
-        return TypeClass(INFINITY, finite_primes=s.finite_exception_primes())
-    return TypeClass(s.default, infinite_primes=s.infinite_exception_primes())
+    return TypeClass._of(s.default, PrimeSet.where(s, _is_infinite))
 
 
 class LocalIso(Enum):
@@ -321,6 +255,3 @@ def _pointwise(a: HeightSequence, b: HeightSequence, combine) -> HeightSequence:
         entries[p] = combine(a.height_at(p), b.height_at(p))
     return HeightSequence(default, entries)
 
-
-def member(q: Fraction | int, group: RankOneGroup, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
-    return group.member(q, prime_bound)
