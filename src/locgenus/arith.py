@@ -16,13 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import DomainError, FactorBoundError, PrecisionError
+from .errors import DomainError, FactorBoundError, PrecisionError, ResourceError
 
 #: Trial division gives exact factorizations up to this prime by default.
 DEFAULT_PRIME_BOUND = 10**6
 
 #: Default number of p-adic digits carried by a PAdicApprox.
 DEFAULT_PRECISION = 32
+
+#: A PAdicApprox refuses a modulus p^precision of more than about this
+#: many bits (precision times the bit length of p).
+PRECISION_BIT_LIMIT = 1 << 16
 
 
 class _Sentinel:
@@ -260,8 +264,7 @@ class PAdicApprox:
 
     def __post_init__(self):
         _require_prime(self.prime)
-        if self.precision < 1:
-            raise DomainError(f"precision must be positive, got {self.precision}")
+        _require_precision(self.prime, self.precision)
         if not 0 <= self.residue < self.modulus:
             raise DomainError(
                 f"residue {self.residue} outside [0, {self.prime}^{self.precision})"
@@ -280,6 +283,8 @@ class PAdicApprox:
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":
         """Image of an ordinary integer, flagged exact when n = 0."""
+        _require_prime(prime)
+        _require_precision(prime, precision)
         return cls(prime, precision, n % prime**precision, exactly_zero=(n == 0))
 
     @classmethod
@@ -289,6 +294,17 @@ class PAdicApprox:
     def __neg__(self) -> "PAdicApprox":
         return PAdicApprox(
             self.prime, self.precision, (-self.residue) % self.modulus, self.exactly_zero
+        )
+
+
+def _require_precision(prime: int, precision: int) -> None:
+    """Check a precision before any power prime**precision is built."""
+    if precision < 1:
+        raise DomainError(f"precision must be positive, got {precision}")
+    if precision * prime.bit_length() > PRECISION_BIT_LIMIT:
+        raise ResourceError(
+            f"precision {precision} at {prime} exceeds the p-adic size cap of "
+            f"{PRECISION_BIT_LIMIT} bits (precision times the bit length of the prime)"
         )
 
 

@@ -10,14 +10,16 @@ Whitespace between tokens is ignored; the printed canonical form puts one
 space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard.
-Errors are reported on stderr as a single ``error: ...`` line.
+Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard,
+141 when the reader closes stdout before the output ends. Errors are
+reported on stderr as a single ``error: ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,8 +43,8 @@ from .genus import (
     RationalGenusElement,
     assemble_global,
     cp_fake_descriptor,
-    enumerate_postnikov_genus,
     finite_complex_genus_verdict,
+    iter_postnikov_genus,
 )
 from .rankone import HeightSequence, RankOneGroup, similar, type_of
 
@@ -187,6 +189,8 @@ def _format_bool(value: bool) -> str:
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (text lines, JSON payload)
 # ---------------------------------------------------------------------------
+#
+# The text lines may be a lazy iterable; main prints them as they come.
 
 
 def _cmd_type_canon(args):
@@ -238,11 +242,20 @@ def _cmd_genus_fingerprint(args):
 
 
 def _cmd_genus_enumerate(args):
-    descriptors = enumerate_postnikov_genus(args.dim, args.primes, args.max)
-    lines = [str(d) for d in descriptors]
-    lines.append(f"count: {len(descriptors)}")
-    payload = {"descriptors": [str(d) for d in descriptors], "count": len(descriptors)}
-    return lines, payload
+    # Arguments and the size guard are checked here, before any output.
+    descriptors = iter_postnikov_genus(args.dim, args.primes, args.max)
+    if args.json:
+        texts = [str(d) for d in descriptors]
+        return [], {"descriptors": texts, "count": len(texts)}
+    return _counted_lines(descriptors), None
+
+
+def _counted_lines(descriptors):
+    """The text of each descriptor as it is built, then the count line."""
+    count = 0
+    for count, descriptor in enumerate(descriptors, 1):
+        yield str(descriptor)
+    yield f"count: {count}"
 
 
 def _cmd_genus_cp(args):
@@ -399,11 +412,23 @@ def main(argv: list[str] | None = None) -> int:
     except LocgenusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            write = sys.stdout.write
+            for line in lines:
+                write(line + "\n")
+        # A closed pipe may only show when the last buffer is written.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at the null device, so the
+        # interpreter's flush at exit finds nowhere to fail, and exit as a
+        # process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

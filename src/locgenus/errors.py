@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: parse errors exit 2, domain errors
 (violated preconditions) exit 3, resource guards (factorization bound,
-enumeration size, fingerprint search cap) exit 4.
+enumeration size, fingerprint search cap, p-adic precision cap) exit 4.
 """
 
 

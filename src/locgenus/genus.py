@@ -26,7 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .arith import (
     NatPlus,
@@ -154,6 +154,19 @@ class PostnikovGenusDescriptor(PrimeMap):
     def is_standard(self) -> bool:
         return self._default == 0 and not self._exceptions
 
+    @classmethod
+    def _of(
+        cls, dimension: int, default: NatPlus, exceptions: dict[int, NatPlus]
+    ) -> "PostnikovGenusDescriptor":
+        """Wrap already validated data without checking it again: an odd
+        dimension >= 3, and pointed naturals other than the default at
+        primes in ascending order."""
+        descriptor = cls.__new__(cls)
+        descriptor._default = default
+        descriptor._exceptions = exceptions
+        descriptor._dimension = dimension
+        return descriptor
+
     entry_at = PrimeMap.value_at
 
     def _key(self) -> tuple:
@@ -193,6 +206,10 @@ class FakeSphereModel:
         entry = self._descriptor.entry_at(p)
         if isinstance(entry, StarType):
             return True
+        # p^entry > |m| once entry exceeds the bit length of m, so only
+        # m = 0 is divisible; no such power is built.
+        if entry > m.bit_length():
+            return m == 0
         return m % p**entry == 0
 
     def vanishes_identically(self, p: int) -> bool:
@@ -316,14 +333,16 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     return PostnikovGenusDescriptor(2 * n + 1, 0, entries)
 
 
-def enumerate_postnikov_genus(
+def iter_postnikov_genus(
     dimension: int, prime_bound: int, entry_bound: int
-) -> list[PostnikovGenusDescriptor]:
+) -> Iterator[PostnikovGenusDescriptor]:
     """All descriptors supported on primes <= prime_bound with entries in
-    {*, 0..entry_bound} and default 0 elsewhere.
+    {*, 0..entry_bound} and default 0 elsewhere, one at a time.
 
-    Returns (entry_bound + 2) ** (number of primes) descriptors in
-    lexicographic order, integers before the base point at each prime.
+    Arguments and the size guard are checked at the call, before the
+    first descriptor. The iterator yields (entry_bound + 2) ** (number of
+    primes) descriptors in lexicographic order, integers before the base
+    point at each prime.
     """
     _require_odd_dimension(dimension)
     if prime_bound < 2:
@@ -343,11 +362,22 @@ def enumerate_postnikov_genus(
                     f"enumeration would produce more than {ENUMERATION_LIMIT} "
                     f"descriptors (limit passed at prime {p})"
                 )
-    values: list[NatPlus] = list(range(entry_bound + 1)) + [STAR]
-    return [
-        PostnikovGenusDescriptor(dimension, 0, dict(zip(primes, combo)))
-        for combo in itertools.product(values, repeat=len(primes))
-    ]
+    values: list[NatPlus] = list(range(1, entry_bound + 1)) + [STAR]
+    # Per prime, the exceptions each choice contributes: none for the
+    # default 0, else one (prime, value) pair.
+    choices = [[()] + [((p, v),) for v in values] for p in primes]
+    make = PostnikovGenusDescriptor._of
+    return (
+        make(dimension, 0, dict(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*choices)
+    )
+
+
+def enumerate_postnikov_genus(
+    dimension: int, prime_bound: int, entry_bound: int
+) -> list[PostnikovGenusDescriptor]:
+    """The descriptors of ``iter_postnikov_genus``, as a list."""
+    return list(iter_postnikov_genus(dimension, prime_bound, entry_bound))
 
 
 @dataclass(frozen=True)

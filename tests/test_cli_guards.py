@@ -2,15 +2,22 @@
 
 An enumeration far over the size limit is refused before anything is
 allocated, and a decimal too long for the interpreter to convert is a
-parse error at its position.
+parse error at its position. A fingerprint entry or a p-adic precision
+too large to build its power is refused by its cap, and a reader that
+stops early ends the output quietly.
 """
 
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import locgenus
+from locgenus import DEFAULT_FINGERPRINT_CAP, FingerprintCapError, PostnikovGenusDescriptor
 from locgenus.cli import main
+from locgenus.genus import FakeSphereModel
 
 LONG = "7" * 5000
 
@@ -61,3 +68,77 @@ def test_overlong_decimal_exits_2(capsys, argv):
     assert (code, out) == (2, "")
     assert_one_error_line(err)
     assert "position" in err
+
+
+def locgenus_env():
+    """The environment for ``python -m locgenus`` on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(locgenus.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_pipe_ends_quietly():
+    # 4^6 = 4,096 lines, more than a pipe holds, so the writer meets the
+    # closed pipe while it is still printing.
+    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "13", "--max", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "locgenus", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=locgenus_env(),
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"{default:0}\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+    assert err == b""
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")
+def test_huge_fingerprint_entry_exits_4():
+    # A power 2**entry must not be built. Should it be, the process runs
+    # out of its 512 MB of address space or is killed at the timeout,
+    # instead of filling the machine's memory.
+    proc = subprocess.run(
+        [sys.executable, "-m", "locgenus", "genus", "postnikov", "fingerprint",
+         "{default:0, 2:100000000000}", "--dim", "3"],
+        capture_output=True, text=True, env=locgenus_env(), preexec_fn=_limit_memory,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert_one_error_line(proc.stderr)
+    assert f"cap {DEFAULT_FINGERPRINT_CAP}" in proc.stderr
+
+
+@pytest.mark.parametrize("entry", [0, 1, 63, 64, 65, 66, 99, 1000])
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_fingerprint_probes_agree_with_divisibility(p, entry):
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {p: entry}))
+    for k in range(DEFAULT_FINGERPRINT_CAP + 1):
+        for m in (p**k, -(p**k), 3 * p**k, 0):
+            expected = m == 0 or (entry <= k + 2 and m % p**entry == 0)
+            assert model.operation_vanishes(p, m) == expected
+    if entry <= DEFAULT_FINGERPRINT_CAP:
+        assert model.fingerprint(p) == entry
+    else:
+        with pytest.raises(FingerprintCapError):
+            model.fingerprint(p)
+
+
+@pytest.mark.parametrize("value", ["12", "zero"])
+def test_padic_precision_cap(capsys, value):
+    # 2 has bit length 2: precision 32768 is exactly the 65,536-bit cap.
+    assert run_cli(capsys, "padic", "class", "2", value, "--precision", "32768") == (
+        0, "2\n" if value == "12" else "*\n", ""
+    )
+    code, out, err = run_cli(capsys, "padic", "class", "2", value, "--precision", "32769")
+    assert (code, out) == (4, "")
+    assert_one_error_line(err)
+    assert "65536" in err
