@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DomainError, FactorBoundError, PrecisionError, ResourceError
 
@@ -359,6 +359,16 @@ class PrimeMap:
         self._default = default
         self._exceptions = cleaned
 
+    @classmethod
+    def _of(cls, default, exceptions: dict):
+        """Wrap already validated data without checking it again: a legal
+        default, and legal values other than it at primes in ascending
+        order."""
+        prime_map = cls.__new__(cls)
+        prime_map._default = default
+        prime_map._exceptions = exceptions
+        return prime_map
+
     @property
     def default(self):
         return self._default
@@ -394,67 +404,3 @@ class PrimeMap:
         parts = [f"default:{self._default}"]
         parts += [f"{p}:{v}" for p, v in self._exceptions.items()]
         return "{" + ", ".join(parts) + "}"
-
-
-class PrimeSet:
-    """A finite or cofinite set of primes.
-
-    Stored as a finite set of listed primes, which are the members or,
-    for a cofinite set, the only non-members.
-    """
-
-    __slots__ = ("_primes", "_complement")
-
-    def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
-        prime_set = frozenset(primes)
-        for p in prime_set:
-            _require_prime(p)
-        self._primes = prime_set
-        self._complement = complement
-
-    @classmethod
-    def where(cls, values: PrimeMap, predicate: Callable[[object], bool]) -> "PrimeSet":
-        """The primes at which the value of ``values`` satisfies ``predicate``."""
-        cofinite = predicate(values._default)
-        # The keys of a PrimeMap are already proven prime.
-        shape = cls.__new__(cls)
-        shape._primes = frozenset(
-            [p for p, v in values._exceptions.items() if predicate(v) != cofinite]
-        )
-        shape._complement = cofinite
-        return shape
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._complement and not self._primes
-
-    @property
-    def is_cofinite(self) -> bool:
-        return self._complement
-
-    @property
-    def listed_primes(self) -> frozenset[int]:
-        """The stored finite set: included primes, or excluded if cofinite."""
-        return self._primes
-
-    def contains(self, p: int) -> bool:
-        _require_prime(p)
-        return (p in self._primes) != self._complement
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._primes == other._primes and self._complement == other._complement
-
-    def __hash__(self):
-        return hash((self._primes, self._complement))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-    def __str__(self):
-        """``none``, ``2,3``, ``all`` or ``all_except 2,3``."""
-        primes = ",".join(str(p) for p in sorted(self._primes))
-        if self._complement:
-            return f"all_except {primes}" if primes else "all"
-        return primes or "none"

@@ -27,8 +27,9 @@ from .arith import (
     DEFAULT_PRIME_BOUND,
     INFINITY,
     InfinityType,
+    _require_precision,
+    _require_prime,
     factorize,
-    is_prime,
     mod_one,
     valuation,
 )
@@ -79,8 +80,7 @@ class QmodZElement:
 
     def p_component(self, p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Fraction:
         """The p-primary part of this class, as a fraction in [0, 1)."""
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+        _require_prime(p)
         return p_primary_parts(self._value, prime_bound).get(p, Fraction(0))
 
     def __add__(self, other):
@@ -107,18 +107,19 @@ class QmodZElement:
 
 
 def _validated_twists(
-    twists: Mapping[int, tuple[int, int]] | None,
+    twists: Mapping[int, tuple[int, int]] | None, kernel_heights: HeightSequence
 ) -> dict[int, tuple[int, int]]:
     cleaned: dict[int, tuple[int, int]] = {}
     for p, (mod_exp, unit) in sorted((twists or {}).items()):
-        if not is_prime(p):
-            raise DomainError(f"twist prime {p} is not prime")
-        if mod_exp < 1:
-            raise DomainError(f"twist modulus exponent at {p} must be >= 1")
+        _require_prime(p)
+        _require_precision(p, mod_exp)
         unit %= p**mod_exp
         if unit % p == 0:
             raise DomainError(f"twist residue at {p} is not a unit mod {p}^{mod_exp}")
-        cleaned[p] = (mod_exp, unit)
+        # Residue 1 is the identity, and evaluation never reads a twist
+        # where the height is infinite: drop both so equal maps compare equal.
+        if unit != 1 and not isinstance(kernel_heights.height_at(p), InfinityType):
+            cleaned[p] = (mod_exp, unit)
     return cleaned
 
 
@@ -146,7 +147,7 @@ class ConnectingHom:
             raise DomainError("precompose must be a nonzero rational")
         self._kernel_heights = kernel_heights
         self._precompose = precompose
-        self._twists = _validated_twists(twists)
+        self._twists = _validated_twists(twists, kernel_heights)
 
     @property
     def kernel_heights(self) -> HeightSequence:

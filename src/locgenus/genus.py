@@ -26,13 +26,12 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .arith import (
     NatPlus,
     PAdicApprox,
     PrimeMap,
-    PrimeSet,
     STAR,
     StarType,
     InfinityType,
@@ -57,20 +56,56 @@ def _require_odd_dimension(n: int) -> None:
         raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
 
 
-class TorsionShape(PrimeSet):
+class TorsionShape(PrimeMap):
     """A direct sum of full Pruefer groups, one per prime in a stored set.
 
-    The set is either an explicit finite set of primes or the complement
-    of one, mirroring the infinite-height locus of an eventually constant
-    height sequence.
+    A map of booleans: the default ``complement`` says whether unlisted
+    primes belong, and each listed prime maps to the opposite. So the set
+    is either an explicit finite set of primes or the complement of one,
+    mirroring the infinite-height locus of an eventually constant height
+    sequence.
+
+    >>> TorsionShape({7, 3}, complement=True)
+    TorsionShape(all_except 3,7)
     """
 
     __slots__ = ()
+    _is_value = staticmethod(lambda value: isinstance(value, bool))
+    _label = "torsion"
+    _domain = "true or false"
+
+    def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
+        complement = bool(complement)
+        PrimeMap.__init__(self, complement, dict.fromkeys(primes, not complement))
 
     @classmethod
     def from_heights(cls, heights: HeightSequence) -> "TorsionShape":
-        """The primes where the height is infinite."""
-        return cls.where(heights, lambda h: isinstance(h, InfinityType))
+        """The primes where the height is infinite, as listed by their type."""
+        locus = type_of(heights)
+        cofinite = isinstance(locus.default, InfinityType)
+        return cls._of(cofinite, dict.fromkeys(locus.support, not cofinite))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._default and not self._exceptions
+
+    @property
+    def is_cofinite(self) -> bool:
+        return self._default
+
+    @property
+    def listed_primes(self) -> frozenset[int]:
+        """The stored finite set: included primes, or excluded if cofinite."""
+        return frozenset(self._exceptions)
+
+    contains = PrimeMap.value_at
+
+    def __str__(self):
+        """``none``, ``2,3``, ``all`` or ``all_except 2,3``."""
+        primes = ",".join(map(str, self._exceptions))
+        if self._default:
+            return f"all_except {primes}" if primes else "all"
+        return primes or "none"
 
 
 class RationalGenusElement:

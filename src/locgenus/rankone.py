@@ -26,7 +26,6 @@ from .arith import (
     INFINITY,
     InfinityType,
     PrimeMap,
-    PrimeSet,
     factorize,
     is_height,
 )
@@ -69,7 +68,7 @@ class HeightSequence(PrimeMap):
 
     def all_finite(self) -> bool:
         """True iff no entry, default included, is infinite."""
-        return PrimeSet.where(self, _is_infinite).is_empty
+        return not any(map(_is_infinite, (self._default, *self._exceptions.values())))
 
 
 def similar(s: HeightSequence, t: HeightSequence) -> bool:
@@ -83,17 +82,23 @@ def similar(s: HeightSequence, t: HeightSequence) -> bool:
     return type_of(s) == type_of(t)
 
 
-class TypeClass:
+class TypeClass(PrimeMap):
     """Canonical form of a similarity class of height sequences.
 
     Finite deviations from a finite default carry no invariant content and
     are erased; only the default and the set of primes of infinite height
     survive. That set is finite under a finite default (the off-default
-    ``infinite_primes``) and cofinite under an infinite one (all but the
-    ``finite_primes``).
+    ``infinite_primes``, stored as height inf) and cofinite under an
+    infinite one (all but the ``finite_primes``, stored as height 0).
+
+    >>> TypeClass(INFINITY, finite_primes={7, 3})
+    TypeClass({default:inf, 3:0, 7:0})
     """
 
-    __slots__ = ("_default", "_infinite")
+    __slots__ = ()
+    _is_value = staticmethod(is_height)
+    _label = "type"
+    _domain = "a non-negative integer or inf"
 
     def __init__(
         self,
@@ -101,35 +106,20 @@ class TypeClass:
         infinite_primes: Iterable[int] = (),
         finite_primes: Iterable[int] = (),
     ):
-        if not is_height(default):
-            raise DomainError("type default must be a non-negative integer or inf")
         cofinite = _is_infinite(default)
+        listed, marker = (finite_primes, 0) if cofinite else (infinite_primes, INFINITY)
+        PrimeMap.__init__(self, default, dict.fromkeys(listed, marker))
         if frozenset(infinite_primes if cofinite else finite_primes):
             kind = "infinite" if cofinite else "finite"
             raise DomainError(f"{kind} default cannot list {kind} primes")
-        self._default = default
-        listed = finite_primes if cofinite else infinite_primes
-        self._infinite = PrimeSet(listed, complement=cofinite)
-
-    @classmethod
-    def _of(cls, default: Height, infinite: PrimeSet) -> "TypeClass":
-        """Wrap an already validated locus without checking it again."""
-        type_class = cls.__new__(cls)
-        type_class._default = default
-        type_class._infinite = infinite
-        return type_class
-
-    @property
-    def default(self) -> Height:
-        return self._default
 
     @property
     def infinite_primes(self) -> frozenset[int]:
-        return frozenset() if self._infinite.is_cofinite else self._infinite.listed_primes
+        return frozenset() if _is_infinite(self._default) else frozenset(self._exceptions)
 
     @property
     def finite_primes(self) -> frozenset[int]:
-        return self._infinite.listed_primes if self._infinite.is_cofinite else frozenset()
+        return frozenset(self._exceptions) if _is_infinite(self._default) else frozenset()
 
     def canonical_heights(self) -> HeightSequence:
         """The distinguished representative sequence of this class.
@@ -137,23 +127,7 @@ class TypeClass:
         Finite positions under an infinite default are normalized to 0;
         any finite value there would be similar.
         """
-        marker = 0 if self._infinite.is_cofinite else INFINITY
-        listed = self._infinite.listed_primes
-        return HeightSequence(self._default, dict.fromkeys(listed, marker))
-
-    def __eq__(self, other):
-        if not isinstance(other, TypeClass):
-            return NotImplemented
-        return self._default == other._default and self._infinite == other._infinite
-
-    def __hash__(self):
-        return hash((self._default, self._infinite))
-
-    def __repr__(self):
-        return f"TypeClass({self})"
-
-    def __str__(self):
-        return str(self.canonical_heights())
+        return HeightSequence._of(self._default, self._exceptions)
 
 
 def type_of(s: HeightSequence) -> TypeClass:
@@ -161,7 +135,12 @@ def type_of(s: HeightSequence) -> TypeClass:
 
     type_of(s) == type_of(t) exactly when similar(s, t).
     """
-    return TypeClass._of(s.default, PrimeSet.where(s, _is_infinite))
+    cofinite = _is_infinite(s._default)
+    marker = 0 if cofinite else INFINITY
+    return TypeClass._of(
+        s._default,
+        {p: marker for p, v in s._exceptions.items() if _is_infinite(v) != cofinite},
+    )
 
 
 class LocalIso(Enum):

@@ -10,6 +10,7 @@ from locgenus import (
     HeightSequence,
     QmodZElement,
     RankOneGroup,
+    ResourceError,
     beta,
     mod_one,
     p_primary_parts,
@@ -236,3 +237,69 @@ class TestSurjectivityCriterion:
                     for r in range(1, 4):
                         component = d.evaluate(Fraction(1, p ** (r + k))).p_component(p)
                         assert component.denominator == p**r
+
+
+def evaluate_applying_every_twist(heights, precompose, twists, q):
+    """Evaluation by the splitting of Q/Z, multiplying each finite-height
+    p-component by the residue of whatever twist was given at p, identities
+    included."""
+    total = Fraction(0)
+    for p, part in p_primary_parts(Fraction(precompose) * q).items():
+        k = heights.height_at(p)
+        if k == INFINITY:
+            continue
+        mod_exp, unit = twists.get(p, (1, 1))
+        total += mod_one(unit % p**mod_exp * p**k * part)
+    return mod_one(total)
+
+
+class TestTwistCanonicalForm:
+    def test_identity_twist_is_dropped(self):
+        plain = ConnectingHom(HeightSequence(0, {2: 3}))
+        for twisted in [plain.with_twist(2, 1, 1), plain.with_twist(2, 3, 9)]:
+            assert twisted == plain and hash(twisted) == hash(plain)
+            assert twisted.twists == {}
+
+    def test_twist_at_infinite_height_is_dropped(self):
+        heights = HeightSequence(0, {5: INFINITY})
+        twisted = ConnectingHom(heights, twists={5: (2, 7)})
+        assert twisted == ConnectingHom(heights)
+        assert hash(twisted) == hash(ConnectingHom(heights))
+        cofinite = HeightSequence(INFINITY, {3: 1})
+        kept = ConnectingHom(cofinite, twists={3: (2, 2), 7: (1, 3)})
+        assert kept.twists == {3: (2, 2)}
+
+    def test_unit_congruent_to_one_is_not_the_identity(self):
+        # 5 is 1 mod 2 but sends 1/8 to 5/8.
+        twisted = ConnectingHom(HeightSequence(0), twists={2: (3, 5)})
+        assert twisted.twists == {2: (3, 5)}
+        assert twisted.evaluate(Fraction(1, 8)) == QmodZElement(Fraction(5, 8))
+        assert twisted != ConnectingHom(HeightSequence(0))
+
+    def test_dropping_keeps_every_value(self):
+        rng = Random(59)
+        for _ in range(150):
+            heights = random_height_sequence(rng)
+            twists = random_twists(rng)
+            for p in rng.sample([2, 3, 5, 7, 11, 13], 2):
+                twists.setdefault(p, (rng.randint(1, 3), 1 + p ** rng.randint(1, 3)))
+            precompose = random_unit_rational(rng)
+            d = ConnectingHom(heights, precompose, twists)
+            for p, twist in d.twists.items():
+                assert twist[1] != 1 and heights.height_at(p) != INFINITY
+            for _ in range(10):
+                q = random_probe_for(rng, heights)
+                expected = evaluate_applying_every_twist(heights, precompose, twists, q)
+                assert d.evaluate(q).value == expected
+
+
+class TestTwistModulusCap:
+    def test_cap_just_above_the_limit(self):
+        accepted = ConnectingHom(HeightSequence(0), twists={2: (32768, 3)})
+        assert accepted.twists == {2: (32768, 3)}
+        with pytest.raises(ResourceError):
+            ConnectingHom(HeightSequence(0), twists={2: (32769, 3)})
+
+    def test_non_positive_exponent_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ConnectingHom(HeightSequence(0), twists={2: (0, 1)})

@@ -1,20 +1,23 @@
 """The shared per-prime types: equality, hashing and text forms.
 
-HeightSequence and PostnikovGenusDescriptor share one default-plus-
-exceptions representation, and TorsionShape and the infinite-height locus
-of a TypeClass share one finite-or-cofinite prime set. These tests pin the
-contracts the sharing must keep: equal values hash equally, values of
-different kinds never compare equal, and the printed forms are unchanged.
+HeightSequence, TypeClass, TorsionShape and PostnikovGenusDescriptor all
+share one default-plus-exceptions representation, PrimeMap. A type stores
+its canonical heights and a torsion shape is a map of booleans. These tests
+pin the contracts the sharing must keep: equal values hash equally, values
+of different kinds never compare equal, and the printed forms are
+unchanged.
 """
 
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from locgenus import (
     INFINITY,
     STAR,
+    DomainError,
     HeightSequence,
     PostnikovGenusDescriptor,
     QmodZElement,
@@ -135,3 +138,62 @@ class TestQmodZHashContract:
         assert QmodZElement(0) != 0
         assert QmodZElement(Fraction(1, 2)) != Fraction(3, 2)
         assert QmodZElement(Fraction(1, 2)) == QmodZElement(Fraction(3, 2))
+
+
+def locus_by_hand(h):
+    """(cofinite, listed primes) of the infinite-height locus of h, read
+    entry by entry."""
+    cofinite = h.default == INFINITY
+    listed = {p for p in h.support if (h.height_at(p) == INFINITY) != cofinite}
+    return cofinite, listed
+
+
+class TestTrustedConstructionMatchesValidated:
+    def test_type_of_equals_constructed_type(self):
+        rng = Random(109)
+        for _ in range(300):
+            h = random_height_sequence(rng)
+            cofinite, listed = locus_by_hand(h)
+            if cofinite:
+                built = TypeClass(h.default, finite_primes=listed)
+            else:
+                built = TypeClass(h.default, infinite_primes=listed)
+            got = type_of(h)
+            assert got == built and hash(got) == hash(built)
+            assert repr(got) == repr(built)
+            canonical = got.canonical_heights()
+            validated = HeightSequence(built.default, built.exceptions)
+            assert canonical == validated and hash(canonical) == hash(validated)
+
+    def test_from_heights_equals_constructed_shape(self):
+        rng = Random(113)
+        for _ in range(300):
+            h = random_height_sequence(rng)
+            cofinite, listed = locus_by_hand(h)
+            built = TorsionShape(listed, complement=cofinite)
+            got = TorsionShape.from_heights(h)
+            assert got == built and hash(got) == hash(built)
+            assert str(got) == str(built)
+
+    @given(prime_sets, st.sampled_from([0, 1, 2, "", "x", None]))
+    def test_truthy_complement_is_a_bool(self, primes, complement):
+        shape = TorsionShape(primes, complement=complement)
+        assert shape == TorsionShape(primes, complement=bool(complement))
+        assert shape.is_cofinite is bool(complement)
+
+
+class TestTypeAndShapeForms:
+    def test_type_is_not_its_height_sequence(self):
+        t = TypeClass(0, infinite_primes={2})
+        h = HeightSequence(0, {2: INFINITY})
+        assert str(t) == str(h)
+        assert t != h and h != t
+        assert len({t, h}) == 2
+
+    def test_pinned_reprs(self):
+        assert repr(type_of(HeightSequence(INFINITY, {3: 5}))) == "TypeClass({default:inf, 3:0})"
+        assert repr(TorsionShape({7, 3}, complement=True)) == "TorsionShape(all_except 3,7)"
+
+    def test_contains_proves_its_argument_prime(self):
+        with pytest.raises(DomainError):
+            TorsionShape({2}).contains(4)

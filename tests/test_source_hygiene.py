@@ -1,0 +1,48 @@
+"""Static hygiene of the package source, checked with the standard library.
+
+No linter is part of the toolchain, so two of its checks run here: every
+module uses each name it imports, and ``locgenus.__all__`` lists exactly
+the names the package ``__init__`` imports. Both catch imports left behind
+when code is deleted.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import locgenus
+
+PACKAGE = Path(locgenus.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+def used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    unused = imported_names(tree) - used_names(tree)
+    assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def test_all_lists_exactly_the_init_imports():
+    exported = locgenus.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == imported_names(parse(PACKAGE / "__init__.py"))
