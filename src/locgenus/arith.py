@@ -133,6 +133,8 @@ def is_prime(n: int) -> bool:
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"primality is defined for integers, got {n!r}")
     if n < 2:
         return False
     if n < 4:
@@ -299,6 +301,8 @@ class PAdicApprox:
 
 def _require_precision(prime: int, precision: int) -> None:
     """Check a precision before any power prime**precision is built."""
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise DomainError(f"precision must be an integer, got {precision!r}")
     if precision < 1:
         raise DomainError(f"precision must be positive, got {precision}")
     if precision * prime.bit_length() > PRECISION_BIT_LIMIT:

@@ -10,14 +10,19 @@ Whitespace between tokens is ignored; the printed canonical form puts one
 space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard,
-141 when the reader closes stdout before the output ends. Errors are
-reported on stderr as a single ``error: ...`` line.
+The commands are described once, as data, in ``_COMMANDS``; the argparse
+tree is built from it on first use and kept for the process.
+
+Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard
+(each error class carries its ``exit_code``), 141 when the reader closes
+stdout before the output ends. Errors are reported on stderr as a single
+``error: ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +46,7 @@ from .genus import (
     PostnikovGenusDescriptor,
     PostnikovSection,
     RationalGenusElement,
+    _require_odd_dimension,
     assemble_global,
     cp_fake_descriptor,
     finite_complex_genus_verdict,
@@ -98,7 +104,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 def _parse_entries(text: str, value_context: str):
     """Parse the common grammar; value_context is 'height', 'natplus' or
-    'plain' and decides which special tokens are legal."""
+    'plain' and decides which special tokens are legal. The keys come back
+    proven prime and ascending, and the values legal for the context."""
     tokens = _tokenize(text)
     index = 0
 
@@ -114,22 +121,15 @@ def _parse_entries(text: str, value_context: str):
         return token
 
     def parse_value():
-        nonlocal index
-        token = tokens[index]
-        if token[0] == "number":
-            index += 1
-            return token[1]
-        if token[0] == "inf":
-            if value_context != "height":
-                raise ParseError("'inf' is only legal in height sequences", token[2])
-            index += 1
-            return INFINITY
-        if token[0] == "*":
-            if value_context != "natplus":
-                raise ParseError("'*' is only legal in Postnikov descriptors", token[2])
-            index += 1
-            return STAR
-        raise ParseError(f"expected a value, found {token[0]!r}", token[2])
+        kind, value, position = peek()
+        if kind == "inf" and value_context != "height":
+            raise ParseError("'inf' is only legal in height sequences", position)
+        if kind == "*" and value_context != "natplus":
+            raise ParseError("'*' is only legal in Postnikov descriptors", position)
+        if kind not in ("number", "inf", "*"):
+            raise ParseError(f"expected a value, found {kind!r}", position)
+        advance(kind)
+        return {"inf": INFINITY, "*": STAR}.get(kind, value)
 
     advance("{")
     advance("default")
@@ -158,13 +158,15 @@ def _parse_entries(text: str, value_context: str):
 def parse_heights(text: str) -> HeightSequence:
     """Parse a height sequence; values may be 'inf' but never '*'."""
     default, entries = _parse_entries(text, "height")
-    return HeightSequence(default, entries)
+    return HeightSequence._of(default, {p: v for p, v in entries.items() if v != default})
 
 
 def parse_descriptor(text: str, dimension: int) -> PostnikovGenusDescriptor:
     """Parse a Postnikov descriptor; values may be '*' but never 'inf'."""
     default, entries = _parse_entries(text, "natplus")
-    return PostnikovGenusDescriptor(dimension, default, entries)
+    _require_odd_dimension(dimension)
+    exceptions = {p: v for p, v in entries.items() if v != default}
+    return PostnikovGenusDescriptor._of(dimension, default, exceptions)
 
 
 def parse_degree_exponents(text: str) -> dict[int, int]:
@@ -172,7 +174,7 @@ def parse_degree_exponents(text: str) -> dict[int, int]:
     default, entries = _parse_entries(text, "plain")
     if default != 0:
         raise ParseError("degree exponents must use default 0")
-    return {p: v for p, v in entries.items()}
+    return entries
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -260,8 +262,14 @@ def _counted_lines(descriptors):
 
 def _cmd_genus_cp(args):
     descriptor = cp_fake_descriptor(args.n, parse_degree_exponents(args.exponents))
-    payload = {"descriptor": str(descriptor), "dimension": descriptor.dimension}
-    return [str(descriptor)], payload
+    try:  # both are printed under --json
+        text, _ = str(descriptor), str(descriptor.dimension)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceError(
+            f"the answer has an integer past the {limit}-digit print limit"
+        ) from None
+    return [text], {"descriptor": text, "dimension": descriptor.dimension}
 
 
 def _cmd_padic_class(args):
@@ -295,123 +303,93 @@ def _parse_functor(text: str):
 def _cmd_verdict(args):
     descriptor = FiniteComplexDescriptor.from_tag(args.complex_tag)
     verdict = finite_complex_genus_verdict(descriptor, _parse_functor(args.functor))
-    lines = [
-        f"verdict: {verdict.kind.value}",
-        f"space: {verdict.space}",
-        f"reason: {verdict.reason}",
-    ]
     payload = {
         "verdict": verdict.kind.value,
         "space": verdict.space,
         "reason": verdict.reason,
         "witness": verdict.witness,
     }
-    if verdict.witness is not None:
-        lines.append(f"witness: {verdict.witness}")
-    return lines, payload
+    return [f"{key}: {value}" for key, value in payload.items() if value is not None], payload
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table
 # ---------------------------------------------------------------------------
 
+#: Help of the group nodes, by path.
+_GROUPS = {
+    "type": "similarity types of height sequences",
+    "group": "rank-one subgroups of the rationals",
+    "genus": "genus classification",
+    "genus postnikov": "Postnikov-genus operations",
+    "padic": "p-adic classifying parameters",
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="locgenus",
-        description="Exact classification of localization-genus data",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON object")
+_REQUIRED_INT = {"type": int, "required": True}
+_DIM = ("--dim", _REQUIRED_INT)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+#: One entry per leaf command, in the order of the help listings: its path,
+#: help, arguments as (name, ``add_argument`` options) and handler.
+_COMMANDS = (
+    ("type canon", "canonical type of a sequence", [("heights", {})], _cmd_type_canon),
+    ("type similar", "similarity test", [("first", {}), ("second", {})], _cmd_type_similar),
+    ("group member", "membership test", [("rational", {}), ("heights", {}),
+     ("--prime-bound", {"type": int, "default": DEFAULT_PRIME_BOUND})], _cmd_group_member),
+    ("group pseudo", "pseudo-integer test", [("heights", {})], _cmd_group_pseudo),
+    ("genus rational", "rationalization-genus data of an odd sphere",
+     [("heights", {}), _DIM], _cmd_genus_rational),
+    ("genus postnikov fingerprint", "recover a descriptor from its model",
+     [("descriptor", {}), _DIM], _cmd_genus_fingerprint),
+    ("genus postnikov enumerate", "list truncated descriptors",
+     [_DIM, ("--primes", _REQUIRED_INT), ("--max", _REQUIRED_INT)], _cmd_genus_enumerate),
+    ("genus cp", "fake projective space sphere-cover descriptor",
+     [("exponents", {}), ("--n", _REQUIRED_INT)], _cmd_genus_cp),
+    ("padic class", "pointed-natural class of a p-adic integer",
+     [("prime", {"type": int}), ("value", {"help": "an integer, or the word 'zero'"}),
+      ("--precision", {"type": int, "default": DEFAULT_PRECISION})], _cmd_padic_class),
+    ("verdict", "genus triviality verdicts",
+     [("complex_tag", {}), ("--functor", {"required": True})], _cmd_verdict),
+)
 
-    type_cmd = sub.add_parser("type", help="similarity types of height sequences")
-    type_sub = type_cmd.add_subparsers(dest="subcommand", required=True)
-    canon = type_sub.add_parser("canon", parents=[common], help="canonical type of a sequence")
-    canon.add_argument("heights")
-    canon.set_defaults(handler=_cmd_type_canon)
-    sim = type_sub.add_parser("similar", parents=[common], help="similarity test")
-    sim.add_argument("first")
-    sim.add_argument("second")
-    sim.set_defaults(handler=_cmd_type_similar)
+#: The namespace attribute that records the command word at each depth.
+_DESTS = ("command", "subcommand", "subsubcommand")
 
-    group_cmd = sub.add_parser("group", help="rank-one subgroups of the rationals")
-    group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
-    memb = group_sub.add_parser("member", parents=[common], help="membership test")
-    memb.add_argument("rational")
-    memb.add_argument("heights")
-    memb.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    memb.set_defaults(handler=_cmd_group_member)
-    pseudo = group_sub.add_parser("pseudo", parents=[common], help="pseudo-integer test")
-    pseudo.add_argument("heights")
-    pseudo.set_defaults(handler=_cmd_group_pseudo)
 
-    genus_cmd = sub.add_parser("genus", help="genus classification")
-    genus_sub = genus_cmd.add_subparsers(dest="subcommand", required=True)
-    rational = genus_sub.add_parser(
-        "rational", parents=[common], help="rationalization-genus data of an odd sphere"
-    )
-    rational.add_argument("heights")
-    rational.add_argument("--dim", type=int, required=True)
-    rational.set_defaults(handler=_cmd_genus_rational)
-    postnikov = genus_sub.add_parser("postnikov", help="Postnikov-genus operations")
-    postnikov_sub = postnikov.add_subparsers(dest="subsubcommand", required=True)
-    fingerprint = postnikov_sub.add_parser(
-        "fingerprint", parents=[common], help="recover a descriptor from its model"
-    )
-    fingerprint.add_argument("descriptor")
-    fingerprint.add_argument("--dim", type=int, required=True)
-    fingerprint.set_defaults(handler=_cmd_genus_fingerprint)
-    enumerate_cmd = postnikov_sub.add_parser(
-        "enumerate", parents=[common], help="list truncated descriptors"
-    )
-    enumerate_cmd.add_argument("--dim", type=int, required=True)
-    enumerate_cmd.add_argument("--primes", type=int, required=True)
-    enumerate_cmd.add_argument("--max", type=int, required=True)
-    enumerate_cmd.set_defaults(handler=_cmd_genus_enumerate)
-    cp = genus_sub.add_parser(
-        "cp", parents=[common], help="fake projective space sphere-cover descriptor"
-    )
-    cp.add_argument("exponents")
-    cp.add_argument("--n", type=int, required=True)
-    cp.set_defaults(handler=_cmd_genus_cp)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``_COMMANDS``, built once per process."""
+    description = "Exact classification of localization-genus data"
+    root = argparse.ArgumentParser(prog="locgenus", description=description)
+    # The subparsers action of each group node, by path ("" is the root).
+    choices = {}
 
-    padic = sub.add_parser("padic", help="p-adic classifying parameters")
-    padic_sub = padic.add_subparsers(dest="subcommand", required=True)
-    padic_class = padic_sub.add_parser(
-        "class", parents=[common], help="pointed-natural class of a p-adic integer"
-    )
-    padic_class.add_argument("prime", type=int)
-    padic_class.add_argument("value", help="an integer, or the word 'zero'")
-    padic_class.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    padic_class.set_defaults(handler=_cmd_padic_class)
+    def group(path: str):
+        if path not in choices:
+            parent, _, name = path.rpartition(" ")
+            node = group(parent).add_parser(name, help=_GROUPS[path]) if path else root
+            choices[path] = node.add_subparsers(dest=_DESTS[len(path.split())], required=True)
+        return choices[path]
 
-    verdict = sub.add_parser("verdict", parents=[common], help="genus triviality verdicts")
-    verdict.add_argument("complex_tag")
-    verdict.add_argument("--functor", required=True)
-    verdict.set_defaults(handler=_cmd_verdict)
-
-    return parser
+    for path, help_text, arguments, handler in _COMMANDS:
+        parent, _, name = path.rpartition(" ")
+        leaf = group(parent).add_parser(name, help=help_text)
+        leaf.add_argument("--json", action="store_true", help="emit one JSON object")
+        for argument, options in arguments:
+            leaf.add_argument(argument, **options)
+        leaf.set_defaults(handler=handler)
+    return root
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         lines, payload = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except LocgenusError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     try:
         if args.json:
             print(json.dumps(payload))

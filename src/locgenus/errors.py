@@ -1,17 +1,22 @@
 """Exception hierarchy shared by every locgenus module.
 
-The CLI maps these onto exit codes: parse errors exit 2, domain errors
-(violated preconditions) exit 3, resource guards (factorization bound,
-enumeration size, fingerprint search cap, p-adic precision cap) exit 4.
+Each class carries the ``exit_code`` the CLI returns for it; subclasses
+inherit theirs. Parse errors exit 2, domain errors (violated
+preconditions) 3, resource guards (factorization bound, enumeration size,
+fingerprint search cap, p-adic precision cap, digits to print) 4.
 """
 
 
 class LocgenusError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+
 
 class ParseError(LocgenusError):
     """Input text does not match the descriptor grammar."""
+
+    exit_code = 2
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
@@ -30,6 +35,8 @@ class PrecisionError(DomainError):
 
 class ResourceError(LocgenusError):
     """A configurable computation cap was exceeded."""
+
+    exit_code = 4
 
 
 class FactorBoundError(ResourceError):

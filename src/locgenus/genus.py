@@ -481,18 +481,26 @@ class FiniteComplexDescriptor:
             return cls(_PRODUCT_TAGS[text], pi2_finite=False, rational_vanishing_level=5)
         match = _SPHERE_TAG.match(text)
         if match:
-            n = int(match.group(1))
+            n = _tag_dimension(match.group(1))
             if n < 2:
                 raise DomainError(f"sphere {tag} is not simply connected")
             level = n if n % 2 == 1 else 2 * n - 1
             return cls(f"S{n}", pi2_finite=(n != 2), rational_vanishing_level=level)
         match = _CP_TAG.match(text)
         if match:
-            n = int(match.group(1))
+            n = _tag_dimension(match.group(1))
             if n < 1:
                 raise DomainError(f"unknown complex tag {tag!r}")
             return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
         raise DomainError(f"unknown complex tag {tag!r}")
+
+
+def _tag_dimension(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # Decimals past the interpreter's digit limit refuse to convert.
+        raise DomainError(f"complex tag dimension of {len(digits)} digits is too long") from None
 
 
 def finite_complex_genus_verdict(

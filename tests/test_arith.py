@@ -7,10 +7,13 @@ from hypothesis import given, strategies as st
 from locgenus import (
     INFINITY,
     STAR,
+    ConnectingHom,
     DomainError,
     FactorBoundError,
+    HeightSequence,
     PAdicApprox,
     PrecisionError,
+    TorsionShape,
     factorize,
     is_prime,
     mod_one,
@@ -225,3 +228,20 @@ class TestSentinels:
     def test_reprs(self):
         assert repr(INFINITY) == "inf"
         assert repr(STAR) == "*"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: is_prime(7.5),
+        lambda: is_prime(True),
+        lambda: HeightSequence(0, {7.5: 1}),
+        lambda: TorsionShape({7.5}),
+        lambda: PAdicApprox(2, 1.5, 1),
+        lambda: ConnectingHom(HeightSequence(0), twists={2: (1.5, 3)}),
+    ],
+    ids=["is_prime-float", "is_prime-bool", "height-key", "torsion-key", "precision", "twist"],
+)
+def test_non_integers_are_refused(build):
+    with pytest.raises(DomainError):
+        build()

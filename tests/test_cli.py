@@ -1,13 +1,17 @@
+import argparse
 import json
+import subprocess
+import sys
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from locgenus import INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor
-from locgenus.cli import main, parse_degree_exponents, parse_descriptor, parse_heights
+from locgenus import INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, errors
+from locgenus.cli import _COMMANDS, main, parse_degree_exponents, parse_descriptor, parse_heights
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
+from test_cli_guards import locgenus_env
 
 
 def run_cli(capsys, *argv):
@@ -298,3 +302,60 @@ class TestDeterminism:
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    main(["padic", "class", "2", "12"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["type", "canon", "{default:0}"], ["genus", "--json"], ["verdict", "--help"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    # One process runs an argparse error, a --json command, a plain command
+    # and --help in turn; each must read as it does in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**locgenus_env(), "COLUMNS": "80"}
+    for argv in (
+        ["genus", "postnikov", "enumerate", "--dim", "3", "--max", "1"],
+        ["genus", "rational", "{default:0, 2:inf}", "--dim", "3", "--json"],
+        ["type", "canon", "{default:0, 2:inf, 3:5}"],
+        ["genus", "postnikov", "--help"],
+    ):
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "locgenus", *argv], capture_output=True, text=True, env=env
+        )
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("path", [path for path, *_ in _COMMANDS])
+def test_every_command_has_help(capsys, path):
+    code, out, _ = run_cli(capsys, *path.split(), "--help")
+    assert code == 0
+    assert out.startswith(f"usage: locgenus {path} ")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.ParseError, 2),
+        (errors.DomainError, 3),
+        (errors.PrecisionError, 3),
+        (errors.ResourceError, 4),
+        (errors.FactorBoundError, 4),
+        (errors.EnumerationLimitError, 4),
+        (errors.FingerprintCapError, 4),
+    ],
+)
+def test_error_classes_carry_exit_codes(error, code):
+    assert error.exit_code == code

@@ -2,9 +2,11 @@
 
 An enumeration far over the size limit is refused before anything is
 allocated, and a decimal too long for the interpreter to convert is a
-parse error at its position. A fingerprint entry or a p-adic precision
-too large to build its power is refused by its cap, and a reader that
-stops early ends the output quietly.
+parse error at its position, or a domain error in a complex tag. An
+answer with an integer too long for the interpreter to print is refused
+before any output. A fingerprint entry or a p-adic precision too large
+to build its power is refused by its cap, and a reader that stops early
+ends the output quietly.
 """
 
 import os
@@ -68,6 +70,36 @@ def test_overlong_decimal_exits_2(capsys, argv):
     assert (code, out) == (2, "")
     assert_one_error_line(err)
     assert "position" in err
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < len(LONG), reason="the interpreter converts decimals of any length"
+)
+@pytest.mark.parametrize("tag", ["S" + LONG, "CP" + LONG], ids=["sphere", "cp"])
+def test_overlong_complex_tag_exits_3(capsys, tag):
+    code, out, err = run_cli(capsys, "verdict", tag, "--functor", "neisendorfer")
+    assert (code, out) == (3, "")
+    assert_one_error_line(err)
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < len(LONG), reason="the interpreter converts decimals of any length"
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "n, exponents",
+    [
+        ("9" * DIGIT_LIMIT, "{default:0, 3:2}"),  # n*k and 2n+1 pass the limit
+        ("9" * DIGIT_LIMIT, "{default:0}"),  # only the dimension 2n+1 does
+        ("2", "{default:0, 3:" + "9" * DIGIT_LIMIT + "}"),  # only n*k does
+    ],
+    ids=["both", "dimension", "entry"],
+)
+def test_unprintable_cp_answer_exits_4(capsys, n, exponents, json_flag):
+    code, out, err = run_cli(capsys, "genus", "cp", "--n", n, exponents, *json_flag)
+    assert (code, out) == (4, "")
+    assert_one_error_line(err)
+    assert str(DIGIT_LIMIT) in err
 
 
 def locgenus_env():
