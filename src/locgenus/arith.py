@@ -202,10 +202,8 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
         n = strip(n, d + 2)
         d += 6
     if n > 1:
-        # Either the loop passed sqrt(n), certifying n prime, or every
-        # prime factor of n exceeds prime_bound, which still certifies
-        # primality as long as n <= prime_bound**2.
-        if d * d > n or n <= prime_bound * prime_bound:
+        # All primes below d are stripped, so d * d > n alone certifies n prime.
+        if d * d > n:
             factors[n] = factors.get(n, 0) + 1
         else:
             raise FactorBoundError(
@@ -278,10 +276,6 @@ class PAdicApprox:
     def modulus(self) -> int:
         return self.prime**self.precision
 
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
-
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":
         """Image of an ordinary integer, flagged exact when n = 0."""
@@ -344,6 +338,11 @@ class PrimeMap:
     that repeat the default are dropped and the rest kept in ascending
     prime order, so equal data gives equal maps; maps of different classes
     are never equal.
+
+    A prime is proven where it enters: the constructor, the public readers
+    (``value_at`` and its aliases) and the CLI grammar. ``_at`` and ``_of``
+    take only primes the caller has proven: from ``factorize``, a support,
+    or a checked argument.
     """
 
     __slots__ = ("_default", "_exceptions")
@@ -388,6 +387,9 @@ class PrimeMap:
 
     def value_at(self, p: int):
         _require_prime(p)
+        return self._at(p)
+
+    def _at(self, p: int):
         return self._exceptions.get(p, self._default)
 
     def _key(self) -> tuple:

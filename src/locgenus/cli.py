@@ -4,8 +4,8 @@ The grammar shared by height sequences and Postnikov descriptors is
 
     {default: <val>, <prime>: <val>, ...}
 
-with values either a non-negative decimal, ``inf`` (heights only) or ``*``
-(Postnikov descriptors only). Primes must be strictly increasing.
+with values either a non-negative ASCII decimal, ``inf`` (heights only)
+or ``*`` (Postnikov descriptors only). Primes must be strictly increasing.
 Whitespace between tokens is ignored; the printed canonical form puts one
 space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte.
@@ -60,6 +60,7 @@ from .rankone import HeightSequence, RankOneGroup, similar, type_of
 # ---------------------------------------------------------------------------
 
 _PUNCTUATION = "{}:,"
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -75,9 +76,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             try:
                 value = int(text[i:j])

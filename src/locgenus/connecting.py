@@ -25,13 +25,11 @@ from typing import Mapping
 
 from .arith import (
     DEFAULT_PRIME_BOUND,
-    INFINITY,
     InfinityType,
     _require_precision,
     _require_prime,
     factorize,
     mod_one,
-    valuation,
 )
 from .errors import DomainError
 from .rankone import HeightSequence, RankOneGroup, TypeClass, type_of
@@ -118,7 +116,7 @@ def _validated_twists(
             raise DomainError(f"twist residue at {p} is not a unit mod {p}^{mod_exp}")
         # Residue 1 is the identity, and evaluation never reads a twist
         # where the height is infinite: drop both so equal maps compare equal.
-        if unit != 1 and not isinstance(kernel_heights.height_at(p), InfinityType):
+        if unit != 1 and not isinstance(kernel_heights._at(p), InfinityType):
             cleaned[p] = (mod_exp, unit)
     return cleaned
 
@@ -172,7 +170,7 @@ class ConnectingHom:
         r = self._precompose * Fraction(q)
         total = Fraction(0)
         for p, part in p_primary_parts(r, prime_bound).items():
-            k = self._kernel_heights.height_at(p)
+            k = self._kernel_heights._at(p)
             if isinstance(k, InfinityType):
                 continue
             component = mod_one(p**k * part)
@@ -196,17 +194,17 @@ class ConnectingHom:
         homomorphisms), and up to isomorphism otherwise.
         """
         base = self._kernel_heights
+        shifts = dict.fromkeys(base.support, 0)
+        shifts.update(factorize(self._precompose.numerator))
+        shifts.update((p, -e) for p, e in factorize(self._precompose.denominator).items())
         shifted: dict[int, object] = {}
-        affected = set(base.support)
-        affected.update(factorize(self._precompose.numerator))
-        affected.update(factorize(self._precompose.denominator))
-        for p in affected:
-            k = base.height_at(p)
-            if isinstance(k, InfinityType):
-                shifted[p] = INFINITY
-            else:
-                shifted[p] = max(0, k + valuation(self._precompose, p))
-        return RankOneGroup(HeightSequence(base.default, shifted))
+        for p in sorted(shifts):
+            k = base._at(p)
+            if not isinstance(k, InfinityType):
+                k = max(0, k + shifts[p])
+            if k != base.default:
+                shifted[p] = k
+        return RankOneGroup(HeightSequence._of(base.default, shifted))
 
     def double_coset_class(self) -> TypeClass:
         """The complete invariant under rational pre-composition and twists."""

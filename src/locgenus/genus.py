@@ -445,8 +445,8 @@ class GenusVerdict:
     reason: str = ""
 
 
-_SPHERE_TAG = re.compile(r"^S(\d+)$")
-_CP_TAG = re.compile(r"^CP(\d+)$")
+_SPHERE_TAG = re.compile(r"^S([0-9]+)$")
+_CP_TAG = re.compile(r"^CP([0-9]+)$")
 _PRODUCT_TAGS = {"S2XS5": "S2xS5", "CP2XS3": "CP2xS3"}
 
 #: Catalogued failures of uniqueness: for these (space, section level)

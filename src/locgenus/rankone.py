@@ -185,7 +185,7 @@ class RankOneGroup:
         if q.denominator == 1:
             return True
         for p, e in factorize(q.denominator, prime_bound).items():
-            if e > self._heights.height_at(p):
+            if e > self._heights._at(p):
                 return False
         return True
 
@@ -202,10 +202,6 @@ class RankOneGroup:
         if isinstance(self._heights.height_at(p), InfinityType):
             return LocalIso.RATIONALS
         return LocalIso.LOCAL_INTEGERS
-
-    def type_class(self) -> TypeClass:
-        """The abstract isomorphism class of this group."""
-        return type_of(self._heights)
 
     def intersect(self, other: "RankOneGroup") -> "RankOneGroup":
         """Pointwise minimum of heights: members of both groups."""
@@ -228,9 +224,11 @@ class RankOneGroup:
 
 
 def _pointwise(a: HeightSequence, b: HeightSequence, combine) -> HeightSequence:
-    default = combine(a.default, b.default)
+    default = combine(a._default, b._default)
     entries: dict[int, Height] = {}
-    for p in set(a.support) | set(b.support):
-        entries[p] = combine(a.height_at(p), b.height_at(p))
-    return HeightSequence(default, entries)
+    for p in sorted({*a._exceptions, *b._exceptions}):
+        value = combine(a._at(p), b._at(p))
+        if value != default:
+            entries[p] = value
+    return HeightSequence._of(default, entries)
 

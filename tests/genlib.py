@@ -120,3 +120,19 @@ def random_descriptor(rng: Random, dimension: int = 3) -> PostnikovGenusDescript
     for p in rng.sample(SMALL_PRIMES, rng.randint(0, 4)):
         exceptions[p] = random_nat_plus(rng)
     return PostnikovGenusDescriptor(dimension, default, exceptions)
+
+
+def count_proofs(monkeypatch) -> list:
+    """From now on, record every prime that ``arith.is_prime`` is asked to
+    prove, in call order."""
+    import locgenus.arith
+
+    proven = []
+    prove = locgenus.arith.is_prime
+
+    def counting(n):
+        proven.append(n)
+        return prove(n)
+
+    monkeypatch.setattr(locgenus.arith, "is_prime", counting)
+    return proven

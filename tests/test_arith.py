@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -245,3 +246,21 @@ class TestSentinels:
 def test_non_integers_are_refused(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("n, bound", [(25, -5), (35, -6)])
+def test_negative_bound_certifies_no_composite(n, bound):
+    with pytest.raises(FactorBoundError):
+        factorize(n, bound)
+
+
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(-12, 89))
+def test_factorize_is_exact_or_refused(a, b, bound):
+    # A product of two small factors is often composite past 2 and 3.
+    n = a * b
+    try:
+        factors = factorize(n, bound)
+    except FactorBoundError:
+        return
+    assert all(oracle_factor(p) == [p] for p in factors)
+    assert math.prod(p**e for p, e in factors.items()) == n

@@ -174,3 +174,27 @@ def test_padic_precision_cap(capsys, value):
     assert (code, out) == (4, "")
     assert_one_error_line(err)
     assert "65536" in err
+
+
+def test_negative_prime_bound_refuses_an_unproven_cofactor(capsys):
+    # 1/25 is a member; with no trial division 25 cannot be proven prime.
+    code, out, err = run_cli(
+        capsys, "group", "member", "1/25", "{default:0, 5:2}", "--prime-bound", "-5"
+    )
+    assert (code, out) == (4, "")
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("type", "canon", "{default:\u0663}"), 2),  # ARABIC-INDIC DIGIT THREE
+        (("type", "canon", "{default:\u00b2}"), 2),  # SUPERSCRIPT TWO
+        (("verdict", "S\u0663", "--functor", "neisendorfer"), 3),
+    ],
+    ids=["arabic-indic", "superscript", "sphere-tag"],
+)
+def test_non_ascii_digits_are_refused(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (expected, "")
+    assert_one_error_line(err)

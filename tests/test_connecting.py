@@ -2,22 +2,27 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locgenus import (
     INFINITY,
     ConnectingHom,
     DomainError,
+    FactorBoundError,
     HeightSequence,
     QmodZElement,
     RankOneGroup,
     ResourceError,
     beta,
+    factorize,
     mod_one,
     p_primary_parts,
     type_of,
+    valuation,
 )
 
 from genlib import (
+    count_proofs,
     random_height_sequence,
     random_hom,
     random_probe_for,
@@ -303,3 +308,58 @@ class TestTwistModulusCap:
     def test_non_positive_exponent_is_a_domain_error(self):
         with pytest.raises(DomainError):
             ConnectingHom(HeightSequence(0), twists={2: (0, 1)})
+
+
+#: Two primes near 10^6, where each proof by trial division is costly.
+P, Q = 999983, 999979
+
+
+def test_evaluate_and_kernel_prove_no_prime_again(monkeypatch):
+    heights = HeightSequence(0, {P: 1})
+    plain = ConnectingHom(heights)
+    scaled = ConnectingHom(heights, P)
+    q = Fraction(1, P * Q)
+    value = QmodZElement(p_primary_parts(q)[Q])
+    kernel = RankOneGroup(HeightSequence(0, {P: 2}))
+    proven = count_proofs(monkeypatch)
+    assert plain.evaluate(q) == value
+    assert scaled.kernel() == kernel
+    assert proven == []
+
+
+def test_twist_at_a_support_prime_is_proven_once(monkeypatch):
+    heights = HeightSequence(0, {P: 1})
+    proven = count_proofs(monkeypatch)
+    assert ConnectingHom(heights, twists={P: (1, 2)}).twists == {P: (1, 2)}
+    assert proven == [P]
+
+
+def test_evaluate_refuses_an_unproven_cofactor():
+    # Under a negative bound no trial division runs; 25 must not pass as prime.
+    with pytest.raises(FactorBoundError):
+        ConnectingHom(HeightSequence(0, {5: 2})).evaluate(Fraction(1, 25), prime_bound=-5)
+
+
+def kernel_heights_by_valuation(d):
+    """The kernel heights from the definition: at each prime of the base
+    support or of the precompose r, the base height shifted by the
+    valuation of r and floored at 0, infinite heights kept."""
+    base, r = d.kernel_heights, d.precompose
+    primes = {*base.support, *factorize(r.numerator), *factorize(r.denominator)}
+    entries = {}
+    for p in primes:
+        k = base.height_at(p)
+        entries[p] = k if k == INFINITY else max(0, k + valuation(r, p))
+    return HeightSequence(base.default, entries)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([53, 59, 61, 1009]), st.integers(-3, 3))
+def test_kernel_matches_the_valuation_reference(seed, outside, e):
+    # random_hom precomposes by fractions over the small primes; the extra
+    # factor is a prime outside every support.
+    d = random_hom(Random(seed))
+    d = d.precomposed_by(Fraction(outside) ** e)
+    kernel = d.kernel().heights
+    expected = kernel_heights_by_valuation(d)
+    assert kernel == expected and hash(kernel) == hash(expected)
+    assert str(kernel) == str(expected)

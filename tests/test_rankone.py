@@ -18,6 +18,7 @@ from locgenus import (
 
 from genlib import (
     SMALL_PRIMES,
+    count_proofs,
     random_height_sequence,
     random_member_of,
     random_probe_for,
@@ -276,3 +277,31 @@ class TestLattice:
             q = random_probe_for(rng, join.heights)
             assert meet.member(q) == (a.member(q) and b.member(q))
             assert (a.member(q) or b.member(q)) <= join.member(q)
+
+
+#: Two primes near 10^6, where each proof by trial division is costly.
+P, Q = 999983, 999979
+
+
+def test_member_and_lattice_prove_no_prime_again(monkeypatch):
+    a = RankOneGroup(HeightSequence(0, {P: 1, Q: 2}))
+    b = RankOneGroup(HeightSequence(0, {Q: INFINITY}))
+    meet = RankOneGroup(HeightSequence(0, {Q: 2}))
+    join = RankOneGroup(HeightSequence(0, {P: 1, Q: INFINITY}))
+    q = Fraction(1, P * Q)
+    proven = count_proofs(monkeypatch)
+    assert a.member(q) and not b.member(q)
+    assert a.intersect(b) == meet and a.join(b) == join
+    assert proven == []
+
+
+@given(heights_strategy(), heights_strategy())
+def test_lattice_matches_the_public_constructor(a, b):
+    for op, combine in [(RankOneGroup.intersect, min), (RankOneGroup.join, max)]:
+        result = op(RankOneGroup(a), RankOneGroup(b)).heights
+        expected = HeightSequence(
+            combine(a.default, b.default),
+            {p: combine(a.height_at(p), b.height_at(p)) for p in {*a.support, *b.support}},
+        )
+        assert result == expected and hash(result) == hash(expected)
+        assert str(result) == str(expected)

@@ -1,12 +1,16 @@
 """Static hygiene of the package source, checked with the standard library.
 
-No linter is part of the toolchain, so two of its checks run here: every
-module uses each name it imports, and ``locgenus.__all__`` lists exactly
-the names the package ``__init__`` imports. Both catch imports left behind
-when code is deleted.
+No linter is part of the toolchain, so three of its checks run here: every
+module uses each name it imports, ``locgenus.__all__`` lists exactly the
+names the package ``__init__`` imports, and every function, method and
+class the package defines is named somewhere besides its definition. The
+first two catch imports left behind when code is deleted, the third code
+that nothing calls any more.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,13 @@ import locgenus
 
 PACKAGE = Path(locgenus.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+#: Where a definition may be referenced: the code, its tests, the
+#: benchmark and the README.
+REFERENCE_FILES = [
+    *sorted(path for folder in ("src", "tests", "perfbench") for path in (REPO / folder).rglob("*.py")),
+    REPO / "README.md",
+]
 
 
 def parse(path):
@@ -46,3 +57,24 @@ def test_all_lists_exactly_the_init_imports():
     exported = locgenus.__all__
     assert len(set(exported)) == len(exported)
     assert set(exported) == imported_names(parse(PACKAGE / "__init__.py"))
+
+
+def defined_names(tree):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.walk(tree) if isinstance(node, kinds)]
+
+
+def test_every_definition_is_referenced():
+    corpus = "\n".join(path.read_text(encoding="utf-8") for path in REFERENCE_FILES)
+    definitions = Counter(
+        name
+        for path in PACKAGE.glob("*.py")
+        for name in defined_names(parse(path))
+        if not (name.startswith("__") and name.endswith("__"))
+    )
+    unreferenced = sorted(
+        name
+        for name, count in definitions.items()
+        if len(re.findall(rf"\b{re.escape(name)}\b", corpus)) <= count
+    )
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"
