@@ -11,6 +11,7 @@ between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,7 @@ class _Sentinel:
         return self._text
 
 
+@functools.total_ordering
 class InfinityType(_Sentinel):
     """Singleton sentinel for an infinite height.
 
@@ -67,25 +69,6 @@ class InfinityType(_Sentinel):
     def __lt__(self, other):
         if isinstance(other, (int, InfinityType)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, InfinityType):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, InfinityType):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, InfinityType)):
-            return True
         return NotImplemented
 
     def __add__(self, other):
@@ -170,6 +153,19 @@ def primes_up_to(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if sieve[p]]
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """Split n = p^e * m with m prime to p, for n != 0 and p > 1.
+
+    >>> _split(-360, 2)
+    (3, -45)
+    """
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
     """Exact prime factorization of |n| by trial division.
 
@@ -184,22 +180,15 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
-
-    def strip(m: int, d: int) -> int:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        if e:
-            factors[d] = e
-        return m
-
-    n = strip(n, 2)
-    n = strip(n, 3)
+    for d in (2, 3):
+        if n % d == 0:
+            factors[d], n = _split(n, d)
     d = 5
     while d * d <= n and d <= prime_bound:
-        n = strip(n, d)
-        n = strip(n, d + 2)
+        if n % d == 0:
+            factors[d], n = _split(n, d)
+        if n % (d + 2) == 0:
+            factors[d + 2], n = _split(n, d + 2)
         d += 6
     if n > 1:
         # All primes below d are stripped, so d * d > n alone certifies n prime.
@@ -226,16 +215,7 @@ def valuation(q: Fraction | int, p: int) -> int | InfinityType:
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split(q.numerator, p)[0] - _split(q.denominator, p)[0]
 
 
 def mod_one(q: Fraction | int) -> Fraction:
@@ -322,11 +302,7 @@ def padic_decompose(z: PAdicApprox) -> tuple[int, PAdicApprox] | StarType:
             f"residue is 0 mod {z.prime}^{z.precision}: "
             "valuation is not determined at this precision"
         )
-    k = 0
-    u = z.residue
-    while u % z.prime == 0:
-        u //= z.prime
-        k += 1
+    k, u = _split(z.residue, z.prime)
     return k, PAdicApprox(z.prime, z.precision - k, u)
 
 

@@ -289,7 +289,11 @@ def _cmd_padic_class(args):
 
 
 def _parse_functor(text: str):
-    name = text.strip().lower()
+    name = text.strip()
+    # str.lower maps the Kelvin sign to k, and int() reads non-ASCII digits.
+    if not name.isascii():
+        raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
+    name = name.lower()
     if name == "neisendorfer":
         return Neisendorfer()
     if name.startswith("postnikov:"):

@@ -28,6 +28,7 @@ from .arith import (
     InfinityType,
     _require_precision,
     _require_prime,
+    _split,
     factorize,
     mod_one,
 )
@@ -48,16 +49,15 @@ def p_primary_parts(
     {2: Fraction(1, 2), 3: Fraction(1, 3)}
     """
     q = Fraction(q)
-    d = q.denominator
-    if d == 1:
-        return {}
-    parts: dict[int, Fraction] = {}
-    for p, e in factorize(d, prime_bound).items():
-        dp = p**e
-        cofactor = d // dp
-        a = (q.numerator * pow(cofactor, -1, dp)) % dp
-        parts[p] = Fraction(a, dp)
-    return parts
+    return {p: _p_part(q, p, e) for p, e in factorize(q.denominator, prime_bound).items()}
+
+
+def _p_part(q: Fraction, p: int, e: int) -> Fraction:
+    """The p-primary part a/p^e of q mod 1, where p^e exactly divides the
+    denominator of q (0 when e = 0)."""
+    dp = p**e
+    a = q.numerator * pow(q.denominator // dp, -1, dp) % dp
+    return Fraction(a, dp)
 
 
 class QmodZElement:
@@ -76,10 +76,10 @@ class QmodZElement:
     def is_zero(self) -> bool:
         return self._value == 0
 
-    def p_component(self, p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Fraction:
+    def p_component(self, p: int) -> Fraction:
         """The p-primary part of this class, as a fraction in [0, 1)."""
         _require_prime(p)
-        return p_primary_parts(self._value, prime_bound).get(p, Fraction(0))
+        return _p_part(self._value, p, _split(self._value.denominator, p)[0])
 
     def __add__(self, other):
         if not isinstance(other, QmodZElement):
@@ -169,13 +169,12 @@ class ConnectingHom:
         """
         r = self._precompose * Fraction(q)
         total = Fraction(0)
-        for p, part in p_primary_parts(r, prime_bound).items():
+        for p, e in factorize(r.denominator, prime_bound).items():
             k = self._kernel_heights._at(p)
-            if isinstance(k, InfinityType):
+            # p^k * a/p^e vanishes mod 1 once k >= e, so p^k is built only below e.
+            if k >= e:
                 continue
-            component = mod_one(p**k * part)
-            if component == 0:
-                continue
+            component = mod_one(p**k * _p_part(r, p, e))
             twist = self._twists.get(p)
             if twist is not None:
                 component = mod_one(twist[1] * component)

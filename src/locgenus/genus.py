@@ -474,7 +474,11 @@ class FiniteComplexDescriptor:
 
     @classmethod
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
-        text = tag.strip().upper()
+        text = tag.strip()
+        # str.upper maps some non-ASCII letters to ASCII ones (long s to S).
+        if not text.isascii():
+            raise DomainError(f"unknown complex tag {tag!r}")
+        text = text.upper()
         if text in _PRODUCT_TAGS:
             # Both products have an infinite second homotopy group and no
             # rational homotopy above degree 5.

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -264,3 +265,42 @@ def test_factorize_is_exact_or_refused(a, b, bound):
         return
     assert all(oracle_factor(p) == [p] for p in factors)
     assert math.prod(p**e for p, e in factors.items()) == n
+
+
+#: INFINITY is above every int (bools included), equal only to itself, and
+#: unordered against everything else.
+COMPARANDS = [0, 3, -2, True, False, 10**30, INFINITY, Fraction(1, 2), 2.5, "x", None, STAR]
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+
+
+def expected_comparison(op, left, right):
+    """The value of op(left, right) under the rule, or TypeError."""
+    if not all(isinstance(v, int) or v is INFINITY for v in (left, right)):
+        if op in (operator.eq, operator.ne):
+            return op(left is INFINITY and right is INFINITY, True)
+        return TypeError
+
+    def rank(v):
+        return (1, 0) if v is INFINITY else (0, v)
+
+    return op(rank(left), rank(right))
+
+
+@pytest.mark.parametrize("other", COMPARANDS, ids=repr)
+def test_infinity_orders_above_every_int_and_nothing_else(other):
+    for op in COMPARISONS:
+        for left, right in [(INFINITY, other), (other, INFINITY)]:
+            expected = expected_comparison(op, left, right)
+            if expected is TypeError:
+                with pytest.raises(TypeError):
+                    op(left, right)
+            else:
+                assert op(left, right) is expected, (op, left, right)
+    if isinstance(other, int) or other is INFINITY:
+        assert min(INFINITY, other) == min(other, INFINITY) == other
+        assert max(INFINITY, other) is max(other, INFINITY) is INFINITY
+        assert sorted([INFINITY, other]) == sorted([other, INFINITY]) == [other, INFINITY]
+    else:
+        for combine in (min, max, sorted):
+            with pytest.raises(TypeError):
+                combine([INFINITY, other])

@@ -198,3 +198,40 @@ def test_non_ascii_digits_are_refused(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (expected, "")
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["ſ3", "ſ2xſ5", "cр2", "Ｓ３"],
+    ids=["long-s", "long-s-product", "cyrillic-er", "fullwidth"],
+)
+def test_non_ascii_complex_tag_is_unknown(capsys, tag):
+    # str.upper maps LATIN SMALL LETTER LONG S to S.
+    code, out, err = run_cli(capsys, "verdict", tag, "--functor", "neisendorfer")
+    assert (code, out) == (3, "")
+    assert_one_error_line(err)
+    assert "unknown complex tag" in err
+
+
+@pytest.mark.parametrize(
+    "functor",
+    ["postniKov:2", "postnikov:٣", "neisendorﬀer", "postnikov:²"],
+    ids=["kelvin-sign", "arabic-indic", "ff-ligature", "superscript"],
+)
+def test_non_ascii_functor_is_unknown(capsys, functor):
+    # str.lower maps KELVIN SIGN to k, and int() reads Arabic-Indic digits.
+    code, out, err = run_cli(capsys, "verdict", "S3", "--functor", functor)
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert "unknown functor" in err
+
+
+@pytest.mark.parametrize(
+    "tag, functor, space",
+    [("s3", "neisendorfer", "S3"), (" S3 ", " Neisendorfer ", "S3"),
+     ("s2xs5", "postnikov:2", "S2xS5"), ("cp2", "POSTNIKOV:3", "CP2")],
+)
+def test_ascii_tags_and_functors_still_fold_case(capsys, tag, functor, space):
+    code, out, err = run_cli(capsys, "verdict", tag, "--functor", functor)
+    assert (code, err) == (0, "")
+    assert f"space: {space}\n" in out

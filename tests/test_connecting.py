@@ -363,3 +363,40 @@ def test_kernel_matches_the_valuation_reference(seed, outside, e):
     expected = kernel_heights_by_valuation(d)
     assert kernel == expected and hash(kernel) == hash(expected)
     assert str(kernel) == str(expected)
+
+
+def test_evaluate_builds_no_power_of_a_stored_height():
+    # 2**(10**12) would not fit in memory; p^k * a/p^e vanishes for k >= e.
+    d = ConnectingHom(HeightSequence(0, {2: 10**12}))
+    assert d.evaluate(Fraction(1, 2)).is_zero
+    # 1/6 = 1/2 + 2/3 mod 1, and the height at 3 is 0.
+    assert d.evaluate(Fraction(1, 6)) == QmodZElement(Fraction(2, 3))
+
+
+def test_p_component_reads_only_the_p_part_of_the_denominator():
+    # The cofactor 2^61 - 1 is prime and past the default factor bound.
+    value = QmodZElement(Fraction(1, 2 * (2**61 - 1)))
+    assert value.p_component(2) == Fraction(1, 2)
+    assert value.p_component(3) == 0
+    with pytest.raises(FactorBoundError):
+        p_primary_parts(value.value)
+
+
+@given(
+    st.integers(-10**4, 10**4),
+    st.integers(1, 10**4),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 97]),
+)
+def test_p_component_is_the_p_primary_part(numerator, denominator, p):
+    value = QmodZElement(Fraction(numerator, denominator))
+    assert value.p_component(p) == p_primary_parts(value.value).get(p, 0)
+
+
+@given(st.integers(0, 2**32))
+def test_evaluate_matches_the_splitting_reference(seed):
+    rng = Random(seed)
+    d = random_hom(rng, random_height_sequence(rng, max_finite=6))
+    for _ in range(5):
+        q = random_rational(rng, exp_bound=8)
+        expected = evaluate_applying_every_twist(d.kernel_heights, d.precompose, d.twists, q)
+        assert d.evaluate(q).value == expected
