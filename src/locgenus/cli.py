@@ -46,11 +46,11 @@ from .genus import (
     PostnikovGenusDescriptor,
     PostnikovSection,
     RationalGenusElement,
+    _iter_postnikov_genus_text,
     _require_odd_dimension,
     assemble_global,
     cp_fake_descriptor,
     finite_complex_genus_verdict,
-    iter_postnikov_genus,
 )
 from .rankone import HeightSequence, RankOneGroup, similar, type_of
 
@@ -178,6 +178,20 @@ def parse_degree_exponents(text: str) -> dict[int, int]:
     return entries
 
 
+def _ascii_int(text: str) -> int:
+    """An optional leading '-' and ASCII digits, read as an int.
+
+    ``int()`` also takes other scripts' digits, a '+', underscores and
+    surrounding whitespace; this reader takes none of them."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits and not digits.strip(_DIGITS):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -246,18 +260,19 @@ def _cmd_genus_fingerprint(args):
 
 def _cmd_genus_enumerate(args):
     # Arguments and the size guard are checked here, before any output.
-    descriptors = iter_postnikov_genus(args.dim, args.primes, args.max)
+    texts = _iter_postnikov_genus_text(args.dim, args.primes, args.max)
     if args.json:
-        texts = [str(d) for d in descriptors]
+        texts = list(texts)
         return [], {"descriptors": texts, "count": len(texts)}
-    return _counted_lines(descriptors), None
+    return _counted_lines(texts), None
 
 
-def _counted_lines(descriptors):
-    """The text of each descriptor as it is built, then the count line."""
+def _counted_lines(texts):
+    """Each descriptor's text, joined from precomputed per-prime fragments
+    without building a descriptor object, then the count line."""
     count = 0
-    for count, descriptor in enumerate(descriptors, 1):
-        yield str(descriptor)
+    for count, text in enumerate(texts, 1):
+        yield text
     yield f"count: {count}"
 
 
@@ -278,8 +293,8 @@ def _cmd_padic_class(args):
         approx = PAdicApprox.zero(args.prime, args.precision)
     else:
         try:
-            n = int(args.value)
-        except ValueError:
+            n = _ascii_int(args.value)
+        except argparse.ArgumentTypeError:
             raise ParseError(f"invalid integer {args.value!r}") from None
         approx = PAdicApprox.from_int(n, args.prime, args.precision)
     decomposition = padic_decompose(approx)
@@ -290,7 +305,7 @@ def _cmd_padic_class(args):
 
 def _parse_functor(text: str):
     name = text.strip()
-    # str.lower maps the Kelvin sign to k, and int() reads non-ASCII digits.
+    # str.lower maps the Kelvin sign to k.
     if not name.isascii():
         raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
     name = name.lower()
@@ -298,8 +313,8 @@ def _parse_functor(text: str):
         return Neisendorfer()
     if name.startswith("postnikov:"):
         try:
-            level = int(name.split(":", 1)[1])
-        except ValueError:
+            level = _ascii_int(name.split(":", 1)[1])
+        except argparse.ArgumentTypeError:
             raise ParseError(f"invalid Postnikov level in {text!r}") from None
         return PostnikovSection(level)
     raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
@@ -330,7 +345,7 @@ _GROUPS = {
     "padic": "p-adic classifying parameters",
 }
 
-_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INT = {"type": _ascii_int, "required": True}
 _DIM = ("--dim", _REQUIRED_INT)
 
 #: One entry per leaf command, in the order of the help listings: its path,
@@ -339,7 +354,7 @@ _COMMANDS = (
     ("type canon", "canonical type of a sequence", [("heights", {})], _cmd_type_canon),
     ("type similar", "similarity test", [("first", {}), ("second", {})], _cmd_type_similar),
     ("group member", "membership test", [("rational", {}), ("heights", {}),
-     ("--prime-bound", {"type": int, "default": DEFAULT_PRIME_BOUND})], _cmd_group_member),
+     ("--prime-bound", {"type": _ascii_int, "default": DEFAULT_PRIME_BOUND})], _cmd_group_member),
     ("group pseudo", "pseudo-integer test", [("heights", {})], _cmd_group_pseudo),
     ("genus rational", "rationalization-genus data of an odd sphere",
      [("heights", {}), _DIM], _cmd_genus_rational),
@@ -350,8 +365,8 @@ _COMMANDS = (
     ("genus cp", "fake projective space sphere-cover descriptor",
      [("exponents", {}), ("--n", _REQUIRED_INT)], _cmd_genus_cp),
     ("padic class", "pointed-natural class of a p-adic integer",
-     [("prime", {"type": int}), ("value", {"help": "an integer, or the word 'zero'"}),
-      ("--precision", {"type": int, "default": DEFAULT_PRECISION})], _cmd_padic_class),
+     [("prime", {"type": _ascii_int}), ("value", {"help": "an integer, or the word 'zero'"}),
+      ("--precision", {"type": _ascii_int, "default": DEFAULT_PRECISION})], _cmd_padic_class),
     ("verdict", "genus triviality verdicts",
      [("complex_tag", {}), ("--functor", {"required": True})], _cmd_verdict),
 )

@@ -368,17 +368,12 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     return PostnikovGenusDescriptor(2 * n + 1, 0, entries)
 
 
-def iter_postnikov_genus(
+def _postnikov_choices(
     dimension: int, prime_bound: int, entry_bound: int
-) -> Iterator[PostnikovGenusDescriptor]:
-    """All descriptors supported on primes <= prime_bound with entries in
-    {*, 0..entry_bound} and default 0 elsewhere, one at a time.
-
-    Arguments and the size guard are checked at the call, before the
-    first descriptor. The iterator yields (entry_bound + 2) ** (number of
-    primes) descriptors in lexicographic order, integers before the base
-    point at each prime.
-    """
+) -> tuple[list[int], list[NatPlus]]:
+    """The checked set-up of an enumeration: the primes <= prime_bound and
+    the values other than the default 0 that each may take, {1..entry_bound}
+    then the base point. Raises before anything is built."""
     _require_odd_dimension(dimension)
     if prime_bound < 2:
         raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
@@ -397,7 +392,23 @@ def iter_postnikov_genus(
                     f"enumeration would produce more than {ENUMERATION_LIMIT} "
                     f"descriptors (limit passed at prime {p})"
                 )
-    values: list[NatPlus] = list(range(1, entry_bound + 1)) + [STAR]
+    return primes, list(range(1, entry_bound + 1)) + [STAR]
+
+
+def iter_postnikov_genus(
+    dimension: int, prime_bound: int, entry_bound: int
+) -> Iterator[PostnikovGenusDescriptor]:
+    """All descriptors supported on primes <= prime_bound with entries in
+    {*, 0..entry_bound} and default 0 elsewhere, one at a time.
+
+    Arguments and the size guard are checked at the call, before the
+    first descriptor. The iterator yields (entry_bound + 2) ** (number of
+    primes) descriptors in lexicographic order, integers before the base
+    point at each prime. The CLI prints the same enumeration from
+    ``_iter_postnikov_genus_text``, which joins precomputed per-prime text
+    fragments and builds no descriptor objects.
+    """
+    primes, values = _postnikov_choices(dimension, prime_bound, entry_bound)
     # Per prime, the exceptions each choice contributes: none for the
     # default 0, else one (prime, value) pair.
     choices = [[()] + [((p, v),) for v in values] for p in primes]
@@ -406,6 +417,18 @@ def iter_postnikov_genus(
         make(dimension, 0, dict(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*choices)
     )
+
+
+def _iter_postnikov_genus_text(
+    dimension: int, prime_bound: int, entry_bound: int
+) -> Iterator[str]:
+    """The canonical text of each descriptor of ``iter_postnikov_genus``,
+    in the same order and with the same refusals at the call."""
+    primes, values = _postnikov_choices(dimension, prime_bound, entry_bound)
+    # Per prime, the text each choice contributes: none for the default 0,
+    # else one ", p:v" entry.
+    fragments = [[""] + [f", {p}:{v}" for v in values] for p in primes]
+    return map("".join, itertools.product(["{default:0"], *fragments, ["}"]))
 
 
 def enumerate_postnikov_genus(

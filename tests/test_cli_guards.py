@@ -235,3 +235,89 @@ def test_ascii_tags_and_functors_still_fold_case(capsys, tag, functor, space):
     code, out, err = run_cli(capsys, "verdict", tag, "--functor", functor)
     assert (code, err) == (0, "")
     assert f"space: {space}\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("padic", "class", "2", "١٢"),  # ARABIC-INDIC ONE TWO
+        ("padic", "class", "٢", "12"),
+        ("padic", "class", "2", "12", "--precision", "٣٢"),
+        ("padic", "class", "2", "+12"),
+        ("padic", "class", "2", "1_2"),
+        ("padic", "class", "2", " 12"),
+        ("genus", "postnikov", "enumerate", "--dim", "٣", "--primes", "2", "--max", "0"),
+        ("genus", "postnikov", "enumerate", "--dim", "3", "--primes", "+2", "--max", "0"),
+        ("genus", "postnikov", "enumerate", "--dim", "3", "--primes", "2", "--max", "0_0"),
+        ("genus", "cp", "{default:0, 3:2}", "--n", "２"),  # FULLWIDTH DIGIT TWO
+        ("group", "member", "1/8", "{default:0, 2:3}", "--prime-bound", "١٠٠"),
+        ("genus", "rational", "{default:0}", "--dim", "-"),
+        ("genus", "rational", "{default:0}", "--dim", "3 "),
+    ],
+)
+def test_command_line_integers_are_ascii(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("genus", "postnikov", "enumerate", "--dim", "٣", "--primes", "2", "--max", "0"),
+         "argument --dim: invalid int value: '٣'"),
+        (("group", "member", "1/8", "{default:0}", "--prime-bound", "+9"),
+         "argument --prime-bound: invalid int value: '+9'"),
+        (("padic", "class", "2", "12", "--precision", "1_0"),
+         "argument --precision: invalid int value: '1_0'"),
+    ],
+)
+def test_option_integer_wording_is_kept(capsys, argv, expected):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert expected in err
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < len(LONG), reason="the interpreter converts decimals of any length"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genus", "postnikov", "enumerate", "--dim", LONG, "--primes", "2", "--max", "0"),
+        ("padic", "class", "2", LONG),
+        ("padic", "class", "2", "-" + LONG),
+    ],
+)
+def test_overlong_command_line_integer_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("padic", "class", "2", "-1"), "0\n"),
+        (("padic", "class", "3", "-18", "--precision", "8"), "2\n"),
+        (("padic", "class", "2", "0012"), "2\n"),
+        (("genus", "postnikov", "enumerate", "--dim", "03", "--primes", "2", "--max", "0"),
+         "{default:0}\n{default:0, 2:*}\ncount: 2\n"),
+    ],
+)
+def test_ascii_command_line_integers_still_work(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("level", ["1_0", "+2", " 3", "", "-", "2.0"])
+def test_postnikov_level_is_ascii_digits(capsys, level):
+    code, out, err = run_cli(capsys, "verdict", "S3", "--functor", "postnikov:" + level)
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert "invalid Postnikov level" in err
+
+
+def test_postnikov_level_still_answers(capsys):
+    code, out, err = run_cli(capsys, "verdict", "S3", "--functor", "postnikov:2")
+    assert (code, err) == (0, "")
+    assert "reason: rational homotopy survives above level 2\n" in out

@@ -1,10 +1,11 @@
 """The streamed Postnikov-genus enumeration.
 
 ``iter_postnikov_genus`` checks its arguments at the call and then builds
-descriptors lazily, without re-validating them; the CLI prints each line
-as it is built. These tests hold the streamed descriptors to the
-validating constructor, the CLI output to fixed digests, and the CLI's
-memory to a bound that a materialized enumeration exceeds.
+descriptors lazily, without re-validating them; the CLI prints the same
+lines from precomputed per-prime text fragments, building no descriptors.
+These tests hold the streamed descriptors to the validating constructor,
+the text lines to the descriptors, the CLI output to fixed digests, and
+the CLI's memory to a bound that a materialized enumeration exceeds.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from locgenus import (
     primes_up_to,
 )
 from locgenus.cli import main
+from locgenus.genus import _iter_postnikov_genus_text
 
 
 @pytest.mark.parametrize("prime_bound, entry_bound", [(2, 0), (7, 1), (11, 2), (5, 6)])
@@ -47,6 +49,28 @@ def test_iterator_is_lazy():
     assert iter(descriptors) is descriptors
     assert str(next(descriptors)) == "{default:0}"
     assert str(next(descriptors)) == "{default:0, 17:1}"
+
+
+@pytest.mark.parametrize(
+    "prime_bound, entry_bound", [(11, 0), (2, 0), (2, 3), (3, 2), (7, 1), (13, 2), (5, 6)]
+)
+def test_text_iterator_matches_descriptors(prime_bound, entry_bound):
+    args = (2 * prime_bound + 1, prime_bound, entry_bound)
+    assert list(_iter_postnikov_genus_text(*args)) == list(map(str, iter_postnikov_genus(*args)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, 1000000, 0), (3, 2, 1000000000), (4, 7, 1), (3, 1, 1), (3, 7, -1)],
+)
+def test_text_iterator_refuses_as_descriptors_do(args):
+    refusals = []
+    for enumeration in (iter_postnikov_genus, _iter_postnikov_genus_text):
+        with pytest.raises(Exception) as caught:
+            enumeration(*args)
+        refusals.append((type(caught.value), str(caught.value)))
+    assert refusals[0] == refusals[1]
+    assert issubclass(refusals[0][0], (DomainError, EnumerationLimitError))
 
 
 @pytest.mark.parametrize(
@@ -119,3 +143,27 @@ def test_streamed_output_memory_is_bounded():
             sys.stdout = saved
     assert code == 0
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--dim", "3", "--primes", "7", "--max", "1"],
+            "8e6a9476763d85b1033071be9ed6b9dec5adbc2670ce5744d00c92d211fcbf90",
+        ),
+        (
+            ["--dim", "5", "--primes", "11", "--max", "2", "--json"],
+            "3d323a5824b6e5d584cbdd84e57c2d3f550ee2cc150e1e06ab6cad9a50f75c18",
+        ),
+    ],
+)
+def test_cli_enumeration_builds_no_descriptors(capsys, monkeypatch, argv, digest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI enumeration built a descriptor")
+
+    monkeypatch.setattr(PostnikovGenusDescriptor, "_of", classmethod(refuse))
+    monkeypatch.setattr(PostnikovGenusDescriptor, "__init__", refuse)
+    assert main(["genus", "postnikov", "enumerate", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
