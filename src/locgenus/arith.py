@@ -30,17 +30,29 @@ DEFAULT_PRECISION = 32
 PRECISION_BIT_LIMIT = 1 << 16
 
 
-class _Sentinel:
+class _Value:
+    """Equal to a value of the same class with an equal ``_key()``, and
+    hashed by that key, so equal values hash equally."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _Sentinel(_Value):
     """A singleton value, equal only to itself and printed as ``_text``."""
 
     __slots__ = ()
     _text: str
 
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(("locgenus", self._text))
+    def _key(self) -> str:
+        return self._text
 
     def __copy__(self):
         return self
@@ -306,7 +318,7 @@ def padic_decompose(z: PAdicApprox) -> tuple[int, PAdicApprox] | StarType:
     return k, PAdicApprox(z.prime, z.precision - k, u)
 
 
-class PrimeMap:
+class PrimeMap(_Value):
     """A value at every prime: a default plus finitely many exceptions.
 
     Subclasses fix the legal values (``_is_value``, described by
@@ -370,14 +382,6 @@ class PrimeMap:
 
     def _key(self) -> tuple:
         return self._default, tuple(self._exceptions.items())
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

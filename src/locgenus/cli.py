@@ -106,7 +106,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 def _parse_entries(text: str, value_context: str):
     """Parse the common grammar; value_context is 'height', 'natplus' or
     'plain' and decides which special tokens are legal. The keys come back
-    proven prime and ascending, and the values legal for the context."""
+    proven prime and ascending, the values legal for the context, and
+    entries equal to the default dropped."""
     tokens = _tokenize(text)
     index = 0
 
@@ -153,21 +154,20 @@ def _parse_entries(text: str, value_context: str):
         last_prime = p
     advance("}")
     advance("end")
-    return default, entries
+    return default, {p: v for p, v in entries.items() if v != default}
 
 
 def parse_heights(text: str) -> HeightSequence:
     """Parse a height sequence; values may be 'inf' but never '*'."""
     default, entries = _parse_entries(text, "height")
-    return HeightSequence._of(default, {p: v for p, v in entries.items() if v != default})
+    return HeightSequence._of(default, entries)
 
 
 def parse_descriptor(text: str, dimension: int) -> PostnikovGenusDescriptor:
     """Parse a Postnikov descriptor; values may be '*' but never 'inf'."""
     default, entries = _parse_entries(text, "natplus")
     _require_odd_dimension(dimension)
-    exceptions = {p: v for p, v in entries.items() if v != default}
-    return PostnikovGenusDescriptor._of(dimension, default, exceptions)
+    return PostnikovGenusDescriptor._of(dimension, default, entries)
 
 
 def parse_degree_exponents(text: str) -> dict[int, int]:

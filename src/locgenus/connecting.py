@@ -25,7 +25,9 @@ from typing import Mapping
 
 from .arith import (
     DEFAULT_PRIME_BOUND,
+    INFINITY,
     InfinityType,
+    _Value,
     _require_precision,
     _require_prime,
     _split,
@@ -60,7 +62,7 @@ def _p_part(q: Fraction, p: int, e: int) -> Fraction:
     return Fraction(a, dp)
 
 
-class QmodZElement:
+class QmodZElement(_Value):
     """An element of Q/Z, held as its canonical representative in [0, 1)."""
 
     __slots__ = ("_value",)
@@ -89,13 +91,8 @@ class QmodZElement:
     def __neg__(self):
         return QmodZElement(-self._value)
 
-    def __eq__(self, other):
-        if not isinstance(other, QmodZElement):
-            return NotImplemented
-        return self._value == other._value
-
-    def __hash__(self):
-        return hash(("QmodZ", self._value))
+    def _key(self) -> Fraction:
+        return self._value
 
     def __repr__(self):
         return f"QmodZElement({self._value!r})"
@@ -121,7 +118,7 @@ def _validated_twists(
     return cleaned
 
 
-class ConnectingHom:
+class ConnectingHom(_Value):
     """A homomorphism from the rationals to Q/Z in the represented fragment.
 
     Evaluation first multiplies the argument by ``precompose``, applies the
@@ -130,6 +127,8 @@ class ConnectingHom:
     each twisted p-component by its unit residue. Multiplication by an
     integer prime to p is an automorphism of the Pruefer group at p, so
     twists never change where the map vanishes.
+
+    Two homomorphisms compare equal exactly when they are the same map.
     """
 
     __slots__ = ("_kernel_heights", "_precompose", "_twists")
@@ -221,19 +220,21 @@ class ConnectingHom:
             self._kernel_heights, self._precompose * Fraction(r), self._twists
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, ConnectingHom):
-            return NotImplemented
-        return (
-            self._kernel_heights == other._kernel_heights
-            and self._precompose == other._precompose
-            and self._twists == other._twists
-        )
-
-    def __hash__(self):
-        return hash(
-            (self._kernel_heights, self._precompose, tuple(self._twists.items()))
-        )
+    def _key(self) -> tuple:
+        # The p-part is zero at infinite height, else q -> c_p * q with
+        # c_p = p^{k_p} * r * t_p (t_p = 1 untwisted): one map per c_p.
+        heights, r = self._kernel_heights, self._precompose
+        if not isinstance(heights.default, InfinityType):
+            # c_p = p^d * r at almost every prime, so r is an invariant.
+            return heights, r, tuple((p, unit) for p, (_, unit) in self._twists.items())
+        # Finitely many finite heights, each with c_p = p^e * (a unit).
+        parts = []
+        for p, k in heights._exceptions.items():
+            e_num, num = _split(r.numerator, p)
+            e_den, den = _split(r.denominator, p)
+            unit = self._twists.get(p, (1, 1))[1]
+            parts.append((p, k + e_num - e_den, Fraction(num * unit, den)))
+        return INFINITY, tuple(parts)
 
     def __repr__(self):
         return (

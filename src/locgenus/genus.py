@@ -35,6 +35,7 @@ from .arith import (
     STAR,
     StarType,
     InfinityType,
+    _Value,
     is_nat_plus,
     is_prime,
     padic_decompose,
@@ -196,9 +197,7 @@ class PostnikovGenusDescriptor(PrimeMap):
         """Wrap already validated data without checking it again: an odd
         dimension >= 3, and pointed naturals other than the default at
         primes in ascending order."""
-        descriptor = cls.__new__(cls)
-        descriptor._default = default
-        descriptor._exceptions = exceptions
+        descriptor = super()._of(default, exceptions)
         descriptor._dimension = dimension
         return descriptor
 
@@ -211,7 +210,7 @@ class PostnikovGenusDescriptor(PrimeMap):
         return f"PostnikovGenusDescriptor(dimension={self._dimension}, {self})"
 
 
-class FakeSphereModel:
+class FakeSphereModel(_Value):
     """Symbolic model of a genus member, with its cohomology oracle.
 
     No cell structure is modelled; the space is its descriptor plus the
@@ -285,13 +284,8 @@ class FakeSphereModel:
         """The single-prime model carrying this model's invariant at p."""
         return build_fake_sphere(self.dimension, p, self._descriptor.entry_at(p))
 
-    def __eq__(self, other):
-        if not isinstance(other, FakeSphereModel):
-            return NotImplemented
-        return self._descriptor == other._descriptor
-
-    def __hash__(self):
-        return hash(("FakeSphereModel", self._descriptor))
+    def _key(self) -> PostnikovGenusDescriptor:
+        return self._descriptor
 
     def __repr__(self):
         return f"FakeSphereModel({self._descriptor!r})"

@@ -26,6 +26,7 @@ from .arith import (
     INFINITY,
     InfinityType,
     PrimeMap,
+    _Value,
     factorize,
     is_height,
 )
@@ -150,7 +151,7 @@ class LocalIso(Enum):
     RATIONALS = "Q"
 
 
-class RankOneGroup:
+class RankOneGroup(_Value):
     """The subgroup of the rationals cut out by a height sequence.
 
     Membership is the divisibility condition: q belongs iff for every
@@ -211,13 +212,8 @@ class RankOneGroup:
         """Pointwise maximum of heights: the subgroup generated by both."""
         return RankOneGroup(_pointwise(self._heights, other._heights, max))
 
-    def __eq__(self, other):
-        if not isinstance(other, RankOneGroup):
-            return NotImplemented
-        return self._heights == other._heights
-
-    def __hash__(self):
-        return hash(("RankOneGroup", self._heights))
+    def _key(self) -> HeightSequence:
+        return self._heights
 
     def __repr__(self):
         return f"RankOneGroup({self._heights!r})"

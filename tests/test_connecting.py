@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -400,3 +401,84 @@ def test_evaluate_matches_the_splitting_reference(seed):
         q = random_rational(rng, exp_bound=8)
         expected = evaluate_applying_every_twist(d.kernel_heights, d.precompose, d.twists, q)
         assert d.evaluate(q).value == expected
+
+
+#: Hom data over 2, 3 and 5 from a small space, where different data
+#: often gives the same map.
+oracle_heights = st.builds(
+    HeightSequence,
+    st.sampled_from([0, 1, INFINITY, INFINITY]),
+    st.dictionaries(st.sampled_from([2, 3, 5]), st.sampled_from([0, 1, 2, INFINITY]), max_size=3),
+)
+oracle_precomposes = st.builds(
+    Fraction, st.sampled_from([1, -1, 2, 3, -4, 6]), st.sampled_from([1, 2, 3, 4])
+)
+oracle_twists = st.dictionaries(
+    st.sampled_from([3, 5]),
+    st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 4, 7, 11, 13])),
+    min_size=1,
+    max_size=2,
+)
+
+
+@st.composite
+def hom_families(draw):
+    """Two to six homs built from two heights, two precomposes and two twist
+    maps, so that many pairs share part of their data."""
+    pools = [
+        draw(st.lists(part, min_size=2, max_size=2))
+        for part in (oracle_heights, oracle_precomposes, oracle_twists)
+    ]
+    choices = st.tuples(*map(st.sampled_from, pools))
+    return [ConnectingHom(*data) for data in draw(st.lists(choices, min_size=2, max_size=6))]
+
+
+def probe_values(d):
+    """The values of d on n/p^j for n in 1 and 2, j <= 20, and p over the
+    primes of the hom data plus two outside it. The p-part of a hom is
+    q -> c*q. On this data c has valuation at most 4, and two unit parts
+    differ by a fraction with numerator below 2^13, so two distinct c
+    already differ on 1/p^17."""
+    return [
+        d.evaluate(Fraction(n, p**j)) for p in (2, 3, 5, 53, 59) for j in range(21) for n in (1, 2)
+    ]
+
+
+@given(hom_families())
+def test_homs_are_equal_exactly_when_they_are_the_same_map(homs):
+    values = [probe_values(d) for d in homs]
+    for (a, a_values), (b, b_values) in itertools.combinations(zip(homs, values), 2):
+        assert (a == b) == (a_values == b_values), (a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # The same twist residue under two moduli.
+        (
+            ConnectingHom(HeightSequence(0), twists={2: (3, 3)}),
+            ConnectingHom(HeightSequence(0), twists={2: (4, 3)}),
+        ),
+        # Both are the zero map.
+        (ConnectingHom(HeightSequence(INFINITY)), ConnectingHom(HeightSequence(INFINITY), 2)),
+        # Both multiply the 3-part by 2.
+        (
+            ConnectingHom(HeightSequence(INFINITY, {3: 0}), 2),
+            ConnectingHom(HeightSequence(INFINITY, {3: 0}), twists={3: (1, 2)}),
+        ),
+    ],
+    ids=["twist-modulus", "zero-map", "precompose-or-twist"],
+)
+def test_the_same_map_from_different_data_compares_equal(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert probe_values(a) == probe_values(b)
+
+
+def test_equality_builds_no_power_of_a_stored_height():
+    # 2^(10^12) would not fit in memory; equal maps need only the exponent.
+    a = ConnectingHom(HeightSequence(INFINITY, {2: 10**12}), Fraction(3, 4), {2: (5, 7)})
+    b = ConnectingHom(HeightSequence(INFINITY, {2: 10**12 - 2}), 3, {2: (5, 7)})
+    assert a == b and hash(a) == hash(b)
+    assert a != ConnectingHom(HeightSequence(INFINITY, {2: 10**12}), 3, {2: (5, 7)})

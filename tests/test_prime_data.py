@@ -17,14 +17,18 @@ from hypothesis import given, strategies as st
 from locgenus import (
     INFINITY,
     STAR,
+    ConnectingHom,
     DomainError,
+    FakeSphereModel,
     HeightSequence,
     PostnikovGenusDescriptor,
     QmodZElement,
+    RankOneGroup,
     TorsionShape,
     TypeClass,
     type_of,
 )
+from locgenus.arith import _Value
 
 from genlib import SMALL_PRIMES, random_height_sequence, random_rational
 
@@ -122,6 +126,37 @@ class TestTorsionText:
             assert shape.is_cofinite == (t.default == INFINITY)
 
 
+def value_types(cls=_Value):
+    """Every concrete value type: the leaves below ``_Value``."""
+    below = cls.__subclasses__()
+    return {leaf for sub in below for leaf in value_types(sub)} if below else {cls}
+
+
+def small_values(rng):
+    """One value of each type, drawn from a small space so that equal
+    values built apart are common."""
+    pick = rng.choice
+    heights = HeightSequence(
+        pick([0, 1, INFINITY]),
+        {p: pick([0, 1, INFINITY]) for p in rng.sample([2, 3, 5], rng.randint(0, 2))},
+    )
+    descriptor = PostnikovGenusDescriptor(
+        3, pick([0, STAR]), {p: pick([0, 1, STAR]) for p in rng.sample([2, 3], rng.randint(0, 2))}
+    )
+    twists = {p: (rng.randint(1, 2), pick([1, 5, 7])) for p in rng.sample([2, 3], rng.randint(0, 1))}
+    return [
+        heights,
+        type_of(heights),
+        TorsionShape.from_heights(heights),
+        RankOneGroup(heights),
+        ConnectingHom(heights, pick([1, 2, Fraction(1, 2)]), twists),
+        descriptor,
+        FakeSphereModel(descriptor),
+        QmodZElement(Fraction(rng.randint(-4, 4), 4)),
+        pick([INFINITY, STAR]),
+    ]
+
+
 class TestQmodZHashContract:
     def test_equal_implies_equal_hash(self):
         rng = Random(107)
@@ -129,10 +164,25 @@ class TestQmodZHashContract:
         values += [Fraction(k, 2) for k in range(-4, 5)] + [0, 1, -3]
         elements = [QmodZElement(v) for v in values]
         samples = elements + values
+        for _ in range(40):
+            samples += small_values(rng)
+        assert value_types() <= {type(x) for x in samples}
+        equal_apart = set()
         for x in samples:
             for y in samples:
                 if x == y:
                     assert hash(x) == hash(y), (x, y)
+                    if x is not y:
+                        equal_apart.add(type(x))
+        # The sentinels are singletons: nothing else equals them.
+        assert value_types() - {type(INFINITY), type(STAR)} <= equal_apart
+
+    def test_height_sequence_never_equals_type_with_the_same_data(self):
+        t = TypeClass(0, infinite_primes={2})
+        h = HeightSequence(0, {2: INFINITY})
+        assert str(h) == str(t) and h == t.canonical_heights()
+        assert h != t and t != h
+        assert len({h, t}) == 2
 
     def test_elements_do_not_equal_plain_numbers(self):
         assert QmodZElement(0) != 0

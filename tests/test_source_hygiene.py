@@ -5,7 +5,8 @@ module uses each name it imports, ``locgenus.__all__`` lists exactly the
 names the package ``__init__`` imports, and every function, method and
 class the package defines is named somewhere besides its definition. The
 first two catch imports left behind when code is deleted, the third code
-that nothing calls any more.
+that nothing calls any more. A fourth keeps one equality idiom: only
+``arith._Value`` defines ``__eq__`` and ``__hash__``.
 """
 
 import ast
@@ -78,3 +79,26 @@ def test_every_definition_is_referenced():
         if len(re.findall(rf"\b{re.escape(name)}\b", corpus)) <= count
     )
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def class_attribute_names(cls):
+    """The names a class body binds by ``def`` or by assignment."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_only_the_value_base_defines_equality():
+    # Dataclasses generate their methods at run time, so they are not seen.
+    defined = sorted(
+        f"{path.name}:{node.name}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+        for name in class_attribute_names(node)
+        if name in ("__eq__", "__hash__")
+    )
+    assert defined == ["arith.py:_Value.__eq__", "arith.py:_Value.__hash__"]
