@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -258,13 +259,27 @@ def _cmd_genus_fingerprint(args):
     return [str(recovered)], {"descriptor": str(recovered)}
 
 
+#: Descriptors encoded per piece of a streamed --json enumeration.
+_JSON_CHUNK = 4096
+
+
 def _cmd_genus_enumerate(args):
     # Arguments and the size guard are checked here, before any output.
     texts = _iter_postnikov_genus_text(args.dim, args.primes, args.max)
     if args.json:
-        texts = list(texts)
-        return [], {"descriptors": texts, "count": len(texts)}
+        return None, _json_enumeration(texts)
     return _counted_lines(texts), None
+
+
+def _json_enumeration(texts):
+    """The --json object of an enumeration in pieces, encoding the array
+    ``_JSON_CHUNK`` descriptors at a time so that memory stays flat."""
+    yield '{"descriptors": ['
+    count = 0
+    while chunk := list(itertools.islice(texts, _JSON_CHUNK)):
+        yield (", " if count else "") + json.dumps(chunk)[1:-1]
+        count += len(chunk)
+    yield f'], "count": {count}}}'
 
 
 def _counted_lines(texts):
@@ -290,25 +305,22 @@ def _cmd_genus_cp(args):
 
 def _cmd_padic_class(args):
     if args.value.strip().lower() == "zero":
-        approx = PAdicApprox.zero(args.prime, args.precision)
+        n = 0  # flagged as the exact zero by from_int
     else:
         try:
             n = _ascii_int(args.value)
         except argparse.ArgumentTypeError:
             raise ParseError(f"invalid integer {args.value!r}") from None
-        approx = PAdicApprox.from_int(n, args.prime, args.precision)
-    decomposition = padic_decompose(approx)
-    result = STAR if isinstance(decomposition, StarType) else decomposition[0]
-    text = str(result)
-    return [text], {"class": text if isinstance(result, StarType) else result}
+    decomposition = padic_decompose(PAdicApprox.from_int(n, args.prime, args.precision))
+    if isinstance(decomposition, StarType):
+        return [str(STAR)], {"class": str(STAR)}
+    return [str(decomposition[0])], {"class": decomposition[0]}
 
 
 def _parse_functor(text: str):
     name = text.strip()
     # str.lower maps the Kelvin sign to k.
-    if not name.isascii():
-        raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
-    name = name.lower()
+    name = name.lower() if name.isascii() else ""
     if name == "neisendorfer":
         return Neisendorfer()
     if name.startswith("postnikov:"):
@@ -411,10 +423,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     try:
+        write = sys.stdout.write
         if args.json:
-            print(json.dumps(payload))
+            # A payload too large to hold comes as pieces of JSON text.
+            for piece in [json.dumps(payload)] if isinstance(payload, dict) else payload:
+                write(piece)
+            write("\n")
         else:
-            write = sys.stdout.write
             for line in lines:
                 write(line + "\n")
         # A closed pipe may only show when the last buffer is written.

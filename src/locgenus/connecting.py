@@ -27,6 +27,7 @@ from .arith import (
     DEFAULT_PRIME_BOUND,
     INFINITY,
     InfinityType,
+    PrimeMap,
     _Value,
     _require_precision,
     _require_prime,
@@ -35,7 +36,7 @@ from .arith import (
     mod_one,
 )
 from .errors import DomainError
-from .rankone import HeightSequence, RankOneGroup, TypeClass, type_of
+from .rankone import HeightSequence, RankOneGroup, TypeClass, _pointwise, type_of
 
 
 def p_primary_parts(
@@ -191,18 +192,13 @@ class ConnectingHom(_Value):
         whenever precompose is an integer (in particular for the standard
         homomorphisms), and up to isomorphism otherwise.
         """
-        base = self._kernel_heights
-        shifts = dict.fromkeys(base.support, 0)
-        shifts.update(factorize(self._precompose.numerator))
+        shifts = factorize(self._precompose.numerator)
         shifts.update((p, -e) for p, e in factorize(self._precompose.denominator).items())
-        shifted: dict[int, object] = {}
-        for p in sorted(shifts):
-            k = base._at(p)
-            if not isinstance(k, InfinityType):
-                k = max(0, k + shifts[p])
-            if k != base.default:
-                shifted[p] = k
-        return RankOneGroup(HeightSequence._of(base.default, shifted))
+        return RankOneGroup(_pointwise(
+            self._kernel_heights,
+            PrimeMap._of(0, dict(sorted(shifts.items()))),
+            lambda k, s: k if isinstance(k, InfinityType) else max(0, k + s),
+        ))
 
     def double_coset_class(self) -> TypeClass:
         """The complete invariant under rational pre-composition and twists."""

@@ -109,11 +109,12 @@ class TorsionShape(PrimeMap):
         return primes or "none"
 
 
-class RationalGenusElement:
+class RationalGenusElement(_Value):
     """A member of the extended rationalization genus of an odd sphere.
 
     Carries the odd dimension and the connecting homomorphism of the
-    defining fibration over the rationalized sphere.
+    defining fibration over the rationalized sphere. Two elements are equal
+    when their dimensions and homomorphisms are.
     """
 
     __slots__ = ("_dimension", "_hom")
@@ -154,6 +155,9 @@ class RationalGenusElement:
     def classify(self) -> TypeClass:
         """Complete invariant: two members agree iff their classes do."""
         return self._hom.double_coset_class()
+
+    def _key(self) -> tuple:
+        return self._dimension, self._hom
 
     def __repr__(self):
         return f"RationalGenusElement(dimension={self._dimension}, hom={self._hom!r})"
@@ -462,8 +466,7 @@ class GenusVerdict:
     reason: str = ""
 
 
-_SPHERE_TAG = re.compile(r"^S([0-9]+)$")
-_CP_TAG = re.compile(r"^CP([0-9]+)$")
+_COMPLEX_TAG = re.compile(r"^(S|CP)([0-9]+)$")
 _PRODUCT_TAGS = {"S2XS5": "S2xS5", "CP2XS3": "CP2xS3"}
 
 #: Catalogued failures of uniqueness: for these (space, section level)
@@ -493,26 +496,21 @@ class FiniteComplexDescriptor:
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
         text = tag.strip()
         # str.upper maps some non-ASCII letters to ASCII ones (long s to S).
-        if not text.isascii():
-            raise DomainError(f"unknown complex tag {tag!r}")
-        text = text.upper()
+        text = text.upper() if text.isascii() else ""
         if text in _PRODUCT_TAGS:
             # Both products have an infinite second homotopy group and no
             # rational homotopy above degree 5.
             return cls(_PRODUCT_TAGS[text], pi2_finite=False, rational_vanishing_level=5)
-        match = _SPHERE_TAG.match(text)
+        match = _COMPLEX_TAG.match(text)
         if match:
-            n = _tag_dimension(match.group(1))
-            if n < 2:
-                raise DomainError(f"sphere {tag} is not simply connected")
-            level = n if n % 2 == 1 else 2 * n - 1
-            return cls(f"S{n}", pi2_finite=(n != 2), rational_vanishing_level=level)
-        match = _CP_TAG.match(text)
-        if match:
-            n = _tag_dimension(match.group(1))
-            if n < 1:
-                raise DomainError(f"unknown complex tag {tag!r}")
-            return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
+            n = _tag_dimension(match[2])
+            if match[1] == "CP" and n >= 1:
+                return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
+            if match[1] == "S":
+                if n < 2:
+                    raise DomainError(f"sphere {tag} is not simply connected")
+                level = n if n % 2 == 1 else 2 * n - 1
+                return cls(f"S{n}", pi2_finite=(n != 2), rational_vanishing_level=level)
         raise DomainError(f"unknown complex tag {tag!r}")
 
 
@@ -537,44 +535,24 @@ def finite_complex_genus_verdict(
     complexes only. When the hypotheses fail, a catalogued counterexample
     is reported if one is known for that (space, level) pair.
     """
-    tag = complex_descriptor.tag
     if isinstance(functor, Neisendorfer):
-        if complex_descriptor.pi2_finite:
-            return GenusVerdict(
-                VerdictKind.SINGLETON,
-                tag,
-                reason="simply connected finite complex with finite second homotopy group",
-            )
-        return GenusVerdict(
-            VerdictKind.HYPOTHESES_NOT_MET,
-            tag,
-            reason="second homotopy group is infinite",
+        witness = None
+    elif isinstance(functor, PostnikovSection):
+        witness = _KNOWN_COUNTEREXAMPLES.get((complex_descriptor.tag, functor.level))
+    else:
+        raise DomainError(f"unknown genus functor {functor!r}")
+    if not complex_descriptor.pi2_finite:
+        kind, reason = VerdictKind.HYPOTHESES_NOT_MET, "second homotopy group is infinite"
+    elif isinstance(functor, Neisendorfer):
+        kind = VerdictKind.SINGLETON
+        reason = "simply connected finite complex with finite second homotopy group"
+    elif complex_descriptor.rational_vanishing_level > functor.level:
+        kind = VerdictKind.HYPOTHESES_NOT_MET
+        reason = f"rational homotopy survives above level {functor.level}"
+    else:
+        kind = VerdictKind.SINGLETON_AMONG_FINITE
+        reason = (
+            "finite second homotopy group, rational homotopy vanishes "
+            f"above level {functor.level}"
         )
-    if isinstance(functor, PostnikovSection):
-        witness = _KNOWN_COUNTEREXAMPLES.get((tag, functor.level))
-        if not complex_descriptor.pi2_finite:
-            return GenusVerdict(
-                VerdictKind.HYPOTHESES_NOT_MET,
-                tag,
-                witness=witness,
-                reason="second homotopy group is infinite",
-            )
-        if complex_descriptor.rational_vanishing_level > functor.level:
-            return GenusVerdict(
-                VerdictKind.HYPOTHESES_NOT_MET,
-                tag,
-                witness=witness,
-                reason=(
-                    "rational homotopy survives above level "
-                    f"{functor.level}"
-                ),
-            )
-        return GenusVerdict(
-            VerdictKind.SINGLETON_AMONG_FINITE,
-            tag,
-            reason=(
-                "finite second homotopy group, rational homotopy vanishes "
-                f"above level {functor.level}"
-            ),
-        )
-    raise DomainError(f"unknown genus functor {functor!r}")
+    return GenusVerdict(kind, complex_descriptor.tag, witness, reason)

@@ -61,12 +61,6 @@ class HeightSequence(PrimeMap):
 
     height_at = PrimeMap.value_at
 
-    def infinite_exception_primes(self) -> frozenset[int]:
-        return frozenset(p for p, v in self._exceptions.items() if _is_infinite(v))
-
-    def finite_exception_primes(self) -> frozenset[int]:
-        return frozenset(p for p, v in self._exceptions.items() if not _is_infinite(v))
-
     def all_finite(self) -> bool:
         """True iff no entry, default included, is infinite."""
         return not any(map(_is_infinite, (self._default, *self._exceptions.values())))
@@ -219,7 +213,7 @@ class RankOneGroup(_Value):
         return f"RankOneGroup({self._heights!r})"
 
 
-def _pointwise(a: HeightSequence, b: HeightSequence, combine) -> HeightSequence:
+def _pointwise(a: HeightSequence, b: PrimeMap, combine) -> HeightSequence:
     default = combine(a._default, b._default)
     entries: dict[int, Height] = {}
     for p in sorted({*a._exceptions, *b._exceptions}):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -359,3 +360,79 @@ def test_every_command_has_help(capsys, path):
 )
 def test_error_classes_carry_exit_codes(error, code):
     assert error.exit_code == code
+
+
+class _HashSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hasher = hashlib.sha256()
+
+    def write(self, text):
+        self.hasher.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+#: Catalogued, malformed and non-ASCII complex tags (long s and an Arabic
+#: digit upper- and int-convert to ASCII ones; an em space strips away), and
+#: a dimension past the interpreter's digit limit.
+VERDICT_TAGS = [
+    *(f"S{n}" for n in range(12)), *(f"CP{n}" for n in range(8)),
+    "S2xS5", "cp2xs3", " s03 ", "\u2003CP2", "\u017f3", "S\u0663", "X3", "S" + "9" * 5000,
+]
+VERDICT_FUNCTORS = [
+    "neisendorfer", " NEISENDORFER ", "\u2003neisendorfer", "nei\u017fendorfer",
+    *(f"postnikov:{level}" for level in (1, 2, 3, 4, 5, 7, 9, 11, 13, 15)),
+    " Postnikov:5 ", "postnikov:0", "postnikov:x", "postnikov:\u0663", "postnikov", "plus",
+]
+PADIC_PRIMES = ["2", "3", "5", "7", "65537", "4", "1", "0"]
+PADIC_VALUES = [
+    "zero", " ZERO ", "Zero", "0", "-0", "1", "-1", "12", "-12", "1024",
+    "3_0", "+3", "\u0663", "abc", "9" * 5000, "98765432109876543210",
+]
+PADIC_PRECISIONS = ["1", "4", "32", "0", "70000"]
+
+GOLDEN_GRIDS = {
+    "verdict": [
+        ["verdict", tag, "--functor", functor, *flag]
+        for tag in VERDICT_TAGS for functor in VERDICT_FUNCTORS for flag in ([], ["--json"])
+    ],
+    "padic class": [
+        ["padic", "class", prime, value, "--precision", precision, *flag]
+        for prime in PADIC_PRIMES for value in PADIC_VALUES
+        for precision in PADIC_PRECISIONS for flag in ([], ["--json"])
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "grid, digest",
+    [
+        ("verdict", "bca506f63bc06ec1da1751da635d32349d0e4acb8b4d1bbe491ca4bd121f44f3"),
+        ("padic class", "e57167c94549f7ff697d0ea68834655432f993068ea9691aa37c4fca2e50f0bd"),
+    ],
+    ids=["verdict", "padic class"],
+)
+def test_golden_outputs(capsys, grid, digest):
+    """The exit code, stdout and stderr of every argv of the grid, hashed.
+    The digests were taken from the implementation that wrote the verdict
+    rules once per functor and read ``zero`` through ``PAdicApprox.zero``."""
+    hasher = hashlib.sha256()
+    for argv in GOLDEN_GRIDS[grid]:
+        code, out, err = run_cli(capsys, *argv)
+        hasher.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert hasher.hexdigest() == digest
+
+
+def test_largest_json_enumeration_is_unchanged(monkeypatch):
+    """The 10^6-descriptor enumeration under --json, hashed as written."""
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "5", "--max", "98", "--json"]
+    assert main(argv) == 0
+    assert sink.hasher.hexdigest() == (
+        "d99ed457197e0229e668b96c2ee39f09f126128775c3fbe36b509991ce6f54dd"
+    )

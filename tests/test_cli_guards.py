@@ -109,22 +109,33 @@ def locgenus_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_closed_pipe_ends_quietly():
-    # 4^6 = 4,096 lines, more than a pipe holds, so the writer meets the
-    # closed pipe while it is still printing.
-    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "13", "--max", "2"]
+def close_after_reading(argv, first):
+    """Read the opening bytes of a ``python -m locgenus`` run, close the
+    pipe and return the exit code and stderr."""
     with subprocess.Popen(
         [sys.executable, "-m", "locgenus", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=locgenus_env(),
     ) as proc:
         try:
-            assert proc.stdout.readline() == b"{default:0}\n"
+            assert proc.stdout.read(len(first)) == first
             proc.stdout.close()
             err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 141
+            return proc.wait(timeout=60), err
         finally:
             proc.kill()
-    assert err == b""
+
+
+def test_closed_pipe_ends_quietly():
+    # 4^6 = 4,096 lines, more than a pipe holds, so the writer meets the
+    # closed pipe while it is still printing.
+    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "13", "--max", "2"]
+    assert close_after_reading(argv, b"{default:0}\n") == (141, b"")
+
+
+def test_closed_pipe_ends_quietly_under_json():
+    # 4^7 = 16,384 descriptors, streamed as several pieces of one object.
+    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "17", "--max", "2", "--json"]
+    assert close_after_reading(argv, b'{"descriptors": ["{default:0}", ') == (141, b"")
 
 
 def _limit_memory():

@@ -129,20 +129,35 @@ def test_output_bytes_are_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_streamed_output_memory_is_bounded():
-    """16,384 lines in under 1 MB; holding them all took about 9 MB."""
+def enumeration_peak(*argv):
+    """Exit code and peak traced allocation of an enumeration printed to
+    the null device."""
     saved = sys.stdout
     with open(os.devnull, "w", encoding="utf-8") as sink:
         sys.stdout = sink
         tracemalloc.start()
         try:
-            code = main(["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "17", "--max", "2"])
+            code = main(["genus", "postnikov", "enumerate", "--dim", "3", "--max", "2", *argv])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             sys.stdout = saved
+    return code, peak
+
+
+def test_streamed_output_memory_is_bounded():
+    """16,384 lines in under 1 MB; holding them all took about 9 MB."""
+    code, peak = enumeration_peak("--primes", "17")
     assert code == 0
     assert peak < 1 << 20, peak
+
+
+def test_streamed_json_memory_is_bounded():
+    """65,536 descriptors as one JSON object in under 2 MB; holding them
+    all took about 14 MB."""
+    code, peak = enumeration_peak("--primes", "19", "--json")
+    assert code == 0
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,13 @@ class TestRationalGenusElement:
         for r in range(1, 4):
             assert hom.evaluate(Fraction(1, 3 ** (r + 2))).p_component(3).denominator == 3**r
 
+    def test_elements_compare_as_the_member_they_name(self):
+        hom = ConnectingHom(HeightSequence(0, {2: 1}))
+        same = RationalGenusElement(3, hom.precomposed_by(1))
+        assert RationalGenusElement(3, hom) == same and len({RationalGenusElement(3, hom), same}) == 1
+        assert RationalGenusElement(5, hom) != same
+        assert RationalGenusElement(3, hom.precomposed_by(3)) != same
+
     def test_classify_matches_kernel_type(self):
         rng = Random(61)
         for _ in range(100):
@@ -373,6 +380,10 @@ class TestVerdicts:
         )
         assert verdict.kind == VerdictKind.HYPOTHESES_NOT_MET
         assert verdict.witness is None
+
+    def test_unknown_functor_is_refused(self):
+        with pytest.raises(DomainError, match="unknown genus functor 'neisendorfer'"):
+            finite_complex_genus_verdict(FiniteComplexDescriptor.from_tag("S3"), "neisendorfer")
 
     def test_neisendorfer_needs_finite_pi2(self):
         verdict = finite_complex_genus_verdict(

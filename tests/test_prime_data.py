@@ -24,6 +24,7 @@ from locgenus import (
     PostnikovGenusDescriptor,
     QmodZElement,
     RankOneGroup,
+    RationalGenusElement,
     TorsionShape,
     TypeClass,
     type_of,
@@ -144,12 +145,14 @@ def small_values(rng):
         3, pick([0, STAR]), {p: pick([0, 1, STAR]) for p in rng.sample([2, 3], rng.randint(0, 2))}
     )
     twists = {p: (rng.randint(1, 2), pick([1, 5, 7])) for p in rng.sample([2, 3], rng.randint(0, 1))}
+    hom = ConnectingHom(heights, pick([1, 2, Fraction(1, 2)]), twists)
     return [
         heights,
         type_of(heights),
         TorsionShape.from_heights(heights),
         RankOneGroup(heights),
-        ConnectingHom(heights, pick([1, 2, Fraction(1, 2)]), twists),
+        hom,
+        RationalGenusElement(pick([3, 5]), hom),
         descriptor,
         FakeSphereModel(descriptor),
         QmodZElement(Fraction(rng.randint(-4, 4), 4)),

@@ -76,8 +76,6 @@ class TestHeightSequence:
         assert h.height_at(5) == 1
         assert h.height_at(7) == INFINITY
         assert h.support == (2, 7)
-        assert h.infinite_exception_primes() == {7}
-        assert h.finite_exception_primes() == {2}
 
     def test_lookup_requires_prime(self):
         with pytest.raises(DomainError):
