@@ -269,18 +269,29 @@ class PAdicApprox:
         return self.prime**self.precision
 
     @classmethod
+    def _of(cls, prime: int, precision: int, residue: int, exactly_zero: bool = False):
+        """Wrap already validated data without checking it again: a proven
+        prime, a checked precision, a residue in [0, prime**precision), and
+        residue 0 if exactly_zero."""
+        z = object.__new__(cls)
+        z.__dict__.update(
+            prime=prime, precision=precision, residue=residue, exactly_zero=exactly_zero
+        )
+        return z
+
+    @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":
         """Image of an ordinary integer, flagged exact when n = 0."""
         _require_prime(prime)
         _require_precision(prime, precision)
-        return cls(prime, precision, n % prime**precision, exactly_zero=(n == 0))
+        return cls._of(prime, precision, n % prime**precision, n == 0)
 
     @classmethod
     def zero(cls, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":
         return cls(prime, precision, 0, exactly_zero=True)
 
     def __neg__(self) -> "PAdicApprox":
-        return PAdicApprox(
+        return PAdicApprox._of(
             self.prime, self.precision, (-self.residue) % self.modulus, self.exactly_zero
         )
 
@@ -315,7 +326,8 @@ def padic_decompose(z: PAdicApprox) -> tuple[int, PAdicApprox] | StarType:
             "valuation is not determined at this precision"
         )
     k, u = _split(z.residue, z.prime)
-    return k, PAdicApprox(z.prime, z.precision - k, u)
+    # 0 < residue < prime**precision, so k < precision and u < prime**(precision - k).
+    return k, PAdicApprox._of(z.prime, z.precision - k, u)
 
 
 class PrimeMap(_Value):

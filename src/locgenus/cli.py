@@ -47,7 +47,7 @@ from .genus import (
     PostnikovGenusDescriptor,
     PostnikovSection,
     RationalGenusElement,
-    _iter_postnikov_genus_text,
+    _postnikov_genus_blocks,
     _require_odd_dimension,
     assemble_global,
     cp_fake_descriptor,
@@ -208,7 +208,8 @@ def _format_bool(value: bool) -> str:
 # Command handlers: each returns (text lines, JSON payload)
 # ---------------------------------------------------------------------------
 #
-# The text lines may be a lazy iterable; main prints them as they come.
+# The text lines may be a lazy iterable, and one item may hold several
+# lines; main prints each item, then a newline, as they come.
 
 
 def _cmd_type_canon(args):
@@ -259,36 +260,17 @@ def _cmd_genus_fingerprint(args):
     return [str(recovered)], {"descriptor": str(recovered)}
 
 
-#: Descriptors encoded per piece of a streamed --json enumeration.
-_JSON_CHUNK = 4096
-
-
 def _cmd_genus_enumerate(args):
-    # Arguments and the size guard are checked here, before any output.
-    texts = _iter_postnikov_genus_text(args.dim, args.primes, args.max)
-    if args.json:
-        return None, _json_enumeration(texts)
-    return _counted_lines(texts), None
-
-
-def _json_enumeration(texts):
-    """The --json object of an enumeration in pieces, encoding the array
-    ``_JSON_CHUNK`` descriptors at a time so that memory stays flat."""
-    yield '{"descriptors": ['
-    count = 0
-    while chunk := list(itertools.islice(texts, _JSON_CHUNK)):
-        yield (", " if count else "") + json.dumps(chunk)[1:-1]
-        count += len(chunk)
-    yield f'], "count": {count}}}'
-
-
-def _counted_lines(texts):
-    """Each descriptor's text, joined from precomputed per-prime fragments
-    without building a descriptor object, then the count line."""
-    count = 0
-    for count, text in enumerate(texts, 1):
-        yield text
-    yield f"count: {count}"
+    # Arguments and the size guard are checked here, before any output. The
+    # texts hold only ASCII digits, "{}:,* " and "default", so under --json
+    # each encodes as itself in quotes, and the quotes go in the separator.
+    separator = '", "' if args.json else "\n"
+    count, blocks = _postnikov_genus_blocks(args.dim, args.primes, args.max, separator)
+    if not args.json:
+        return itertools.chain(blocks, [f"count: {count}"]), None
+    # The first block follows the opening, each later one a separator.
+    leads = itertools.chain(['{"descriptors": ["'], itertools.repeat(separator))
+    return None, itertools.chain(map(str.__add__, leads, blocks), [f'"], "count": {count}}}'])
 
 
 def _cmd_genus_cp(args):
@@ -392,6 +374,13 @@ def _parser() -> argparse.ArgumentParser:
     """The argparse tree of ``_COMMANDS``, built once per process."""
     description = "Exact classification of localization-genus data"
     root = argparse.ArgumentParser(prog="locgenus", description=description)
+    # Each leaf takes --json from this parent, with no default, so a leaf
+    # that is not given the flag keeps the root's value: the flag may come
+    # before the command words or after them.
+    flag = argparse.ArgumentParser(add_help=False)
+    for node, default in ((root, False), (flag, argparse.SUPPRESS)):
+        node.add_argument("--json", action="store_true", default=default,
+                          help="emit one JSON object")
     # The subparsers action of each group node, by path ("" is the root).
     choices = {}
 
@@ -404,8 +393,7 @@ def _parser() -> argparse.ArgumentParser:
 
     for path, help_text, arguments, handler in _COMMANDS:
         parent, _, name = path.rpartition(" ")
-        leaf = group(parent).add_parser(name, help=help_text)
-        leaf.add_argument("--json", action="store_true", help="emit one JSON object")
+        leaf = group(parent).add_parser(name, help=help_text, parents=[flag])
         for argument, options in arguments:
             leaf.add_argument(argument, **options)
         leaf.set_defaults(handler=handler)

@@ -366,12 +366,10 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     return PostnikovGenusDescriptor(2 * n + 1, 0, entries)
 
 
-def _postnikov_choices(
-    dimension: int, prime_bound: int, entry_bound: int
-) -> tuple[list[int], list[NatPlus]]:
-    """The checked set-up of an enumeration: the primes <= prime_bound and
-    the values other than the default 0 that each may take, {1..entry_bound}
-    then the base point. Raises before anything is built."""
+def _postnikov_choices(dimension: int, prime_bound: int, entry_bound: int) -> list[int]:
+    """The checked set-up of an enumeration: the primes <= prime_bound, each
+    of which takes 0 (the default), 1..entry_bound or the base point.
+    Raises before anything is built."""
     _require_odd_dimension(dimension)
     if prime_bound < 2:
         raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
@@ -390,7 +388,7 @@ def _postnikov_choices(
                     f"enumeration would produce more than {ENUMERATION_LIMIT} "
                     f"descriptors (limit passed at prime {p})"
                 )
-    return primes, list(range(1, entry_bound + 1)) + [STAR]
+    return primes
 
 
 def iter_postnikov_genus(
@@ -401,12 +399,15 @@ def iter_postnikov_genus(
 
     Arguments and the size guard are checked at the call, before the
     first descriptor. The iterator yields (entry_bound + 2) ** (number of
-    primes) descriptors in lexicographic order, integers before the base
-    point at each prime. The CLI prints the same enumeration from
-    ``_iter_postnikov_genus_text``, which joins precomputed per-prime text
-    fragments and builds no descriptor objects.
+    primes) descriptors in lexicographic order, the last prime varying
+    fastest and integers before the base point at each prime. The CLI
+    prints the same enumeration from ``_postnikov_genus_blocks``, which
+    builds no descriptor objects: the texts of the last few primes are
+    joined once, and each block of up to 1,024 lines is one ``str.join``
+    of them behind a shared prefix.
     """
-    primes, values = _postnikov_choices(dimension, prime_bound, entry_bound)
+    primes = _postnikov_choices(dimension, prime_bound, entry_bound)
+    values = [*range(1, entry_bound + 1), STAR]
     # Per prime, the exceptions each choice contributes: none for the
     # default 0, else one (prime, value) pair.
     choices = [[()] + [((p, v),) for v in values] for p in primes]
@@ -417,16 +418,52 @@ def iter_postnikov_genus(
     )
 
 
-def _iter_postnikov_genus_text(
-    dimension: int, prime_bound: int, entry_bound: int
-) -> Iterator[str]:
-    """The canonical text of each descriptor of ``iter_postnikov_genus``,
-    in the same order and with the same refusals at the call."""
-    primes, values = _postnikov_choices(dimension, prime_bound, entry_bound)
-    # Per prime, the text each choice contributes: none for the default 0,
-    # else one ", p:v" entry.
-    fragments = [[""] + [f", {p}:{v}" for v in values] for p in primes]
-    return map("".join, itertools.product(["{default:0"], *fragments, ["}"]))
+#: Lines in a block of ``_postnikov_genus_blocks``, at most.
+_BLOCK = 1024
+
+
+def _postnikov_genus_blocks(
+    dimension: int, prime_bound: int, entry_bound: int, separator: str
+) -> tuple[int, Iterator[str]]:
+    """The number of descriptors of ``iter_postnikov_genus`` and their
+    canonical texts in the same order, as blocks of at most ``_BLOCK``
+    texts joined by ``separator``. Joined by ``separator`` in turn, the
+    blocks give ``separator.join(map(str, iter_postnikov_genus(...)))``.
+    Refuses at the call as ``iter_postnikov_genus`` does."""
+    primes = _postnikov_choices(dimension, prime_bound, entry_bound)
+    star = entry_bound + 1
+    choices = star + 1
+
+    def texts(p: int, chunk: range) -> list[str]:
+        # What each choice adds at p: nothing for the default 0, else ", p:v".
+        return [f", {p}:{i if i < star else '*'}" if i else "" for i in chunk]
+
+    # Lines run in lexicographic order, the last prime varying fastest. The
+    # tail is the last primes whose choices fit in a block together, or
+    # else the last prime alone. The primes before it give one prefix P
+    # per block: P + ("}" + separator + P).join(tail texts) + "}".
+    split = len(primes) - 1
+    while split and choices ** (len(primes) - split + 1) <= _BLOCK:
+        split -= 1
+    heads = [texts(p, range(choices)) for p in primes[:split]]
+    first, *rest = primes[split:]
+    rest_texts = [texts(p, range(choices)) for p in rest]
+
+    def tails(chunk: range) -> list[str]:
+        return list(map("".join, itertools.product(texts(first, chunk), *rest_texts)))
+
+    # A prime with more choices than a block (up to a million, alone) is
+    # read a block of choices at a time; tails that fit are built once.
+    chunks = [range(i, min(i + _BLOCK, choices)) for i in range(0, choices, _BLOCK)]
+    built = [tails(chunks[0])] if len(chunks) == 1 else None
+
+    def blocks() -> Iterator[str]:
+        for prefix in map("".join, itertools.product(["{default:0"], *heads)):
+            lead = "}" + separator + prefix
+            for tail in built or map(tails, chunks):
+                yield prefix + lead.join(tail) + "}"
+
+    return choices ** len(primes), blocks()
 
 
 def enumerate_postnikov_genus(

@@ -23,6 +23,7 @@ from locgenus import (
     primes_up_to,
     valuation,
 )
+from locgenus import arith
 
 
 def oracle_factor(n):
@@ -164,6 +165,14 @@ class TestPAdicApprox:
         z = PAdicApprox.from_int(-1, 2, 4)
         assert z.residue == 15 and not z.exactly_zero
         assert PAdicApprox.from_int(0, 3).exactly_zero
+
+    def test_prime_is_proven_once(self, monkeypatch):
+        proofs = []
+        monkeypatch.setattr(arith, "is_prime", lambda p: proofs.append(p) or is_prime(p))
+        z = PAdicApprox.from_int(12 * 1000003**2, 1000003, 12)
+        k, unit = padic_decompose(-z)
+        assert proofs == [1000003]
+        assert (k, unit) == (2, PAdicApprox(1000003, 10, 1000003**10 - 12))
 
     def test_negation_preserves_zero_flag(self):
         z = PAdicApprox.from_int(12, 2, 8)

@@ -8,7 +8,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from locgenus import INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, errors
+from locgenus import (
+    INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, arith, errors,
+)
 from locgenus.cli import _COMMANDS, main, parse_degree_exponents, parse_descriptor, parse_heights
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
@@ -241,6 +243,21 @@ class TestJsonOutput:
         )
         assert json.loads(out)["witness"] == "CP2xS3"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["type", "canon", "{default:0, 3:inf}"],
+            ["padic", "class", "2", "zero"],
+            ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "5", "--max", "1"],
+            ["verdict", "S3", "--functor", "postnikov:2"],
+            ["group", "member", "1/4", "{default:0, 2:1}"],
+        ],
+    )
+    def test_flag_before_the_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert run_cli(capsys, "--json", *argv) == (code, out, err)
+        assert code == 0 and json.loads(out) != run_cli(capsys, *argv)[1]
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
@@ -295,6 +312,15 @@ class TestExitCodes:
     def test_unknown_tag_is_3(self, capsys):
         code, _, _ = run_cli(capsys, "verdict", "T4", "--functor", "neisendorfer")
         assert code == 3
+
+
+@pytest.mark.parametrize("value, answer", [("12", "0"), ("zero", "*"), ("-1000003", "1")])
+def test_padic_class_proves_its_prime_once(capsys, monkeypatch, value, answer):
+    proofs = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda p: proofs.append(p) or is_prime(p))
+    assert run_cli(capsys, "padic", "class", "1000003", value) == (0, answer + "\n", "")
+    assert proofs == [1000003]
 
 
 class TestDeterminism:

@@ -2,18 +2,23 @@
 
 ``iter_postnikov_genus`` checks its arguments at the call and then builds
 descriptors lazily, without re-validating them; the CLI prints the same
-lines from precomputed per-prime text fragments, building no descriptors.
-These tests hold the streamed descriptors to the validating constructor,
-the text lines to the descriptors, the CLI output to fixed digests, and
-the CLI's memory to a bound that a materialized enumeration exceeds.
+lines in blocks joined from precomputed per-prime text fragments,
+building no descriptors. These tests hold the streamed descriptors to the
+validating constructor, the text lines to the descriptors, the CLI output
+to fixed digests, its writes to one per block and its memory to a bound
+that a materialized enumeration exceeds.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from locgenus import (
     STAR,
@@ -25,7 +30,7 @@ from locgenus import (
     primes_up_to,
 )
 from locgenus.cli import main
-from locgenus.genus import _iter_postnikov_genus_text
+from locgenus.genus import _postnikov_genus_blocks
 
 
 @pytest.mark.parametrize("prime_bound, entry_bound", [(2, 0), (7, 1), (11, 2), (5, 6)])
@@ -56,7 +61,10 @@ def test_iterator_is_lazy():
 )
 def test_text_iterator_matches_descriptors(prime_bound, entry_bound):
     args = (2 * prime_bound + 1, prime_bound, entry_bound)
-    assert list(_iter_postnikov_genus_text(*args)) == list(map(str, iter_postnikov_genus(*args)))
+    count, blocks = _postnikov_genus_blocks(*args, "\n")
+    lines = "\n".join(blocks).split("\n")
+    assert lines == list(map(str, iter_postnikov_genus(*args)))
+    assert count == len(lines)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +73,8 @@ def test_text_iterator_matches_descriptors(prime_bound, entry_bound):
 )
 def test_text_iterator_refuses_as_descriptors_do(args):
     refusals = []
-    for enumeration in (iter_postnikov_genus, _iter_postnikov_genus_text):
+    text_blocks = lambda *args: _postnikov_genus_blocks(*args, "\n")
+    for enumeration in (iter_postnikov_genus, text_blocks):
         with pytest.raises(Exception) as caught:
             enumeration(*args)
         refusals.append((type(caught.value), str(caught.value)))
@@ -137,7 +146,7 @@ def enumeration_peak(*argv):
         sys.stdout = sink
         tracemalloc.start()
         try:
-            code = main(["genus", "postnikov", "enumerate", "--dim", "3", "--max", "2", *argv])
+            code = main(["genus", "postnikov", "enumerate", "--dim", "3", *argv])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -147,7 +156,7 @@ def enumeration_peak(*argv):
 
 def test_streamed_output_memory_is_bounded():
     """16,384 lines in under 1 MB; holding them all took about 9 MB."""
-    code, peak = enumeration_peak("--primes", "17")
+    code, peak = enumeration_peak("--primes", "17", "--max", "2")
     assert code == 0
     assert peak < 1 << 20, peak
 
@@ -155,9 +164,72 @@ def test_streamed_output_memory_is_bounded():
 def test_streamed_json_memory_is_bounded():
     """65,536 descriptors as one JSON object in under 2 MB; holding them
     all took about 14 MB."""
-    code, peak = enumeration_peak("--primes", "19", "--json")
+    code, peak = enumeration_peak("--primes", "19", "--max", "2", "--json")
     assert code == 0
     assert peak < 2 << 20, peak
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_lone_prime_memory_is_bounded(flag):
+    """10^6 lines at the one prime 2 in under 1 MB: its million choices
+    are read a block at a time. Holding their texts took about 130 MB."""
+    code, peak = enumeration_peak("--primes", "2", "--max", "999998", *flag)
+    assert code == 0
+    assert peak < 1 << 20, peak
+
+
+class _CountingSink:
+    """A stdout that counts its writes and the lines written."""
+
+    def __init__(self):
+        self.writes = self.lines = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_lines_are_written_in_blocks(monkeypatch, flag):
+    """262,144 descriptors in at most one write per 64 of them."""
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "23", "--max", "2"]
+    assert main(argv + flag) == 0
+    assert sink.lines == (1 if flag else 4**9 + 1)
+    assert sink.writes <= 4**9 // 64, sink.writes
+
+
+def cli_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 31), st.integers(0, 6))
+@example(11, 2)  # 4^5: every prime in one block of exactly _BLOCK lines
+@example(13, 2)  # 4^6: blocks of exactly _BLOCK lines, one per choice at 2
+@example(29, 0)  # 2^10: one block of exactly _BLOCK lines
+@example(31, 0)  # 2^11: two blocks
+@example(7, 5)  # 7^4: one block of 7^3 lines per choice at 2
+@example(2, 6)  # one prime
+@example(2, 2500)  # one prime with more choices than a block: three blocks
+def test_cli_lines_match_descriptors(prime_bound, entry_bound):
+    count = (entry_bound + 2) ** len(primes_up_to(prime_bound))
+    assume(count <= 1 << 14)  # keeps each example fast; the digests cover 10^6
+    dim = 2 * prime_bound + 1
+    texts = list(map(str, iter_postnikov_genus(dim, prime_bound, entry_bound)))
+    argv = ["genus", "postnikov", "enumerate", "--dim", str(dim),
+            "--primes", str(prime_bound), "--max", str(entry_bound)]
+    assert cli_output(argv).split("\n") == [*texts, f"count: {count}", ""]
+    payload = json.dumps({"descriptors": texts, "count": count}) + "\n"
+    assert cli_output(argv + ["--json"]) == payload
 
 
 @pytest.mark.parametrize(
