@@ -36,7 +36,7 @@ from .arith import (
     mod_one,
 )
 from .errors import DomainError
-from .rankone import HeightSequence, RankOneGroup, TypeClass, _pointwise, type_of
+from .rankone import HeightSequence, RankOneGroup, TypeClass, _pointwise, _split_over, type_of
 
 
 def p_primary_parts(
@@ -52,15 +52,16 @@ def p_primary_parts(
     {2: Fraction(1, 2), 3: Fraction(1, 3)}
     """
     q = Fraction(q)
-    return {p: _p_part(q, p, e) for p, e in factorize(q.denominator, prime_bound).items()}
+    return {p: _part(q, p**e) for p, e in factorize(q.denominator, prime_bound).items()}
 
 
-def _p_part(q: Fraction, p: int, e: int) -> Fraction:
-    """The p-primary part a/p^e of q mod 1, where p^e exactly divides the
-    denominator of q (0 when e = 0)."""
-    dp = p**e
-    a = q.numerator * pow(q.denominator // dp, -1, dp) % dp
-    return Fraction(a, dp)
+def _part(q: Fraction, d: int) -> Fraction:
+    """The part a/d of q mod 1 at a divisor d of the denominator of q that
+    is prime to the cofactor (0 when d = 1). The parts at the prime powers
+    exactly dividing the denominator are its p-primary parts; parts at
+    coprime divisors add up to the part at their product."""
+    a = q.numerator * pow(q.denominator // d, -1, d) % d
+    return Fraction(a, d)
 
 
 class QmodZElement(_Value):
@@ -82,7 +83,7 @@ class QmodZElement(_Value):
     def p_component(self, p: int) -> Fraction:
         """The p-primary part of this class, as a fraction in [0, 1)."""
         _require_prime(p)
-        return _p_part(self._value, p, _split(self._value.denominator, p)[0])
+        return _part(self._value, p ** _split(self._value.denominator, p)[0])
 
     def __add__(self, other):
         if not isinstance(other, QmodZElement):
@@ -162,19 +163,29 @@ class ConnectingHom(_Value):
     def evaluate(
         self, q: Fraction | int, prime_bound: int = DEFAULT_PRIME_BOUND
     ) -> QmodZElement:
-        """Apply the homomorphism to a rational, exactly.
+        """Apply the homomorphism to a rational, exactly. Only the primes of
+        the kernel heights' support and of the twists are divided out of
+        the denominator; what is left is factored only under a finite
+        default d > 0, where prime_bound bounds the trial division.
 
         >>> ConnectingHom(HeightSequence(0, {2: 1})).evaluate(Fraction(1, 4))
         QmodZElement(Fraction(1, 2))
         """
         r = self._precompose * Fraction(q)
-        total = Fraction(0)
-        for p, e in factorize(r.denominator, prime_bound).items():
-            k = self._kernel_heights._at(p)
+        heights = self._kernel_heights
+        factors, rest = _split_over(
+            r.denominator, heights, heights._exceptions.keys() | self._twists.keys(), prime_bound
+        )
+        # The primes of the rest carry the default height and no twist:
+        # under 0 the map keeps their parts, whose sum is the part at the
+        # rest, and under inf it drops them. Under d > 0 the rest is 1.
+        total = Fraction(0) if isinstance(heights._default, InfinityType) else _part(r, rest)
+        for p, e in factors.items():
+            k = heights._at(p)
             # p^k * a/p^e vanishes mod 1 once k >= e, so p^k is built only below e.
             if k >= e:
                 continue
-            component = mod_one(p**k * _p_part(r, p, e))
+            component = mod_one(p**k * _part(r, p**e))
             twist = self._twists.get(p)
             if twist is not None:
                 component = mod_one(twist[1] * component)

@@ -406,15 +406,22 @@ def iter_postnikov_genus(
     joined once, and each block of up to 1,024 lines is one ``str.join``
     of them behind a shared prefix.
     """
-    primes = _postnikov_choices(dimension, prime_bound, entry_bound)
-    values = [*range(1, entry_bound + 1), STAR]
-    # Per prime, the exceptions each choice contributes: none for the
-    # default 0, else one (prime, value) pair.
-    choices = [[()] + [((p, v),) for v in values] for p in primes]
+    *heads, last = _postnikov_choices(dimension, prime_bound, entry_bound)
+
+    def choices(p: int) -> Iterator[tuple]:
+        # What each choice adds at p: nothing for the default 0, else one
+        # (p, value) pair.
+        values = zip(itertools.repeat(p), range(1, entry_bound + 1))
+        return itertools.chain([()], zip(values), [((p, STAR),)])
+
+    # Alone, the last prime has up to a million choices, read once lazily.
+    # After other primes it has at most a thousand, listed once for reuse.
+    tails = list(choices(last)) if heads else choices(last)
     make = PostnikovGenusDescriptor._of
     return (
-        make(dimension, 0, dict(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*choices)
+        make(dimension, 0, dict(itertools.chain(*head, tail)))
+        for head in itertools.product(*map(choices, heads))
+        for tail in tails
     )
 
 

@@ -27,6 +27,7 @@ from .arith import (
     InfinityType,
     PrimeMap,
     _Value,
+    _split,
     factorize,
     is_height,
 )
@@ -171,18 +172,21 @@ class RankOneGroup(_Value):
         return cls(HeightSequence(INFINITY))
 
     def member(self, q: Fraction | int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
-        """Exact membership test; factors the denominator of q.
+        """Exact membership test. Only the primes of the support are divided
+        out of the denominator of q; what is left is factored only under a
+        finite default d > 0, where prime_bound bounds the trial division.
 
         >>> RankOneGroup(HeightSequence(0, {2: 3})).member(Fraction(1, 8))
         True
         """
-        q = Fraction(q)
-        if q.denominator == 1:
-            return True
-        for p, e in factorize(q.denominator, prime_bound).items():
-            if e > self._heights._at(p):
-                return False
-        return True
+        heights = self._heights
+        factors, rest = _split_over(
+            Fraction(q).denominator, heights, heights._exceptions, prime_bound
+        )
+        # Every prime of the rest has the default height, 0 or inf.
+        return (rest == 1 or _is_infinite(heights._default)) and all(
+            e <= heights._at(p) for p, e in factors.items()
+        )
 
     def height(self, p: int) -> Height:
         """Height of 1 at p: the largest r with 1/p^r in the group."""
@@ -211,6 +215,26 @@ class RankOneGroup(_Value):
 
     def __repr__(self):
         return f"RankOneGroup({self._heights!r})"
+
+
+def _split_over(
+    n: int, heights: HeightSequence, primes: Iterable[int], prime_bound: int
+) -> tuple[dict[int, int], int]:
+    """The exponent of each of the given primes in n >= 1 where it is
+    positive, and the rest of n. The primes must include every exception
+    of the heights. The rest is factored too, leaving 1, only under a
+    finite default d > 0: under 0 or inf every prime of the rest has that
+    height, so the rest alone settles what it contributes."""
+    factors: dict[int, int] = {}
+    for p in primes:
+        e, n = _split(n, p)
+        if e:
+            factors[p] = e
+    default = heights._default
+    if n > 1 and not _is_infinite(default) and default > 0:
+        factors.update(factorize(n, prime_bound))
+        n = 1
+    return factors, n
 
 
 def _pointwise(a: HeightSequence, b: PrimeMap, combine) -> HeightSequence:

@@ -108,6 +108,86 @@ def random_hom(rng: Random, heights: HeightSequence | None = None) -> Connecting
     return ConnectingHom(heights, random_unit_rational(rng), random_twists(rng))
 
 
+#: Primes near 10^6: proven in a millisecond, so they may carry heights and
+#: twists, but a product of two is past the default factor bound.
+BIG_PRIMES = (1000003, 1000033)
+#: Far past the default factor bound and too large to prove by trial
+#: division, so it appears in denominators only.
+MERSENNE_61 = 2**61 - 1
+#: The primes of every denominator ``random_known_rational`` builds.
+KNOWN_PRIMES = (*SMALL_PRIMES[:6], *BIG_PRIMES, MERSENNE_61)
+
+
+def random_known_hom(rng: Random, default) -> ConnectingHom:
+    """A hom with the given default height, and heights and twists over the
+    small primes and those near 10^6, pre-composed by a fraction."""
+    exceptions = {
+        p: random_height(rng, max_finite=3)
+        for p in rng.sample((*SMALL_PRIMES[:6], *BIG_PRIMES), rng.randint(0, 3))
+    }
+    twists = random_twists(rng)
+    if rng.random() < 0.3:
+        p = rng.choice(BIG_PRIMES)
+        twists[p] = (rng.randint(1, 2), rng.randint(2, p - 1))
+    return ConnectingHom(HeightSequence(default, exceptions), random_unit_rational(rng), twists)
+
+
+def random_known_rational(rng: Random, heights: HeightSequence, split=()) -> Fraction:
+    """A rational whose denominator is a product of ``KNOWN_PRIMES``. Under
+    a finite default d > 0, where the primes off the support and ``split``
+    are factored by trial division under the default bound, those keep to
+    the small primes and at most one prime near 10^6."""
+    kept = {*heights.support, *split}
+    factored = not isinstance(heights.default, InfinityType) and heights.default > 0
+    room = 1
+    denominator = 1
+    for p in KNOWN_PRIMES:
+        e = rng.choice((0, 0, 1, 2, 3))
+        if factored and p > SMALL_PRIMES[5] and p not in kept:
+            e = 0 if p == MERSENNE_61 else min(e, room)
+            room -= e
+        denominator *= p**e
+    return Fraction(rng.randint(-30, 30), denominator)
+
+
+def known_factors(n: int) -> dict[int, int]:
+    """The factorization of n >= 1, whose primes are all in ``KNOWN_PRIMES``."""
+    factors = {}
+    for p in KNOWN_PRIMES:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors[p] = e
+    assert n == 1
+    return factors
+
+
+def known_primary_parts(q: Fraction) -> dict[int, Fraction]:
+    """The p-primary parts of q mod 1 from the known factors of its
+    denominator d: at p^e, a/p^e with a = n * (d / p^e)^-1 mod p^e, by the
+    Chinese remainder theorem."""
+    parts = {}
+    for p, e in known_factors(q.denominator).items():
+        pe = p**e
+        parts[p] = Fraction(q.numerator * pow(q.denominator // pe, -1, pe) % pe, pe)
+    return parts
+
+
+def forbid_factorize(monkeypatch) -> None:
+    """From now on, make ``factorize`` raise wherever rankone and connecting
+    call it."""
+    import locgenus.connecting
+    import locgenus.rankone
+
+    def refuse(n, prime_bound=None):
+        raise AssertionError(f"factorize({n}, {prime_bound}) was called")
+
+    for module in (locgenus.rankone, locgenus.connecting):
+        monkeypatch.setattr(module, "factorize", refuse)
+
+
 def random_nat_plus(rng: Random, max_finite: int = 8, star_weight: float = 0.25):
     if rng.random() < star_weight:
         return STAR

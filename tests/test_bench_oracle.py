@@ -3,9 +3,9 @@
 ``perfbench/model.py`` answers every call and command the benchmark issues
 without importing locgenus. Here a few rounds of each workload run at
 fixed seeds through the benchmark's own generator and judge, so a wrong
-answer fails the test suite and not only a benchmark run. The only
-refusals allowed are the ones the benchmark keeps on purpose: L1, a
-non-member whose denominator is past the factor bound, on large_primes.
+answer fails the test suite and not only a benchmark run. No refusal is
+allowed: L1 on large_primes, a non-member under default 0 whose
+denominator is past the factor bound, is answered without factoring it.
 """
 
 import sys
@@ -20,7 +20,7 @@ import workloads  # noqa: E402
 
 ROUNDS = 3
 #: Kinds of operation each workload may refuse.
-ALLOWED_REFUSALS = {"large_primes": {"L1"}}
+ALLOWED_REFUSALS: dict[str, set[str]] = {}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -295,11 +295,21 @@ class TestExitCodes:
         assert "cap" in err
 
     def test_factor_bound_is_4(self, capsys):
+        # Only a finite default d > 0 factors the denominator (10009^2).
         code, _, err = run_cli(
             capsys,
-            "group", "member", "1/100180081", "{default:0}", "--prime-bound", "100",
+            "group", "member", "1/100180081", "{default:1}", "--prime-bound", "100",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("denominator", ["100180081", "2305843009213693951"])
+    def test_default_0_needs_no_factor_bound(self, capsys, denominator):
+        # The denominator (10009^2, or the prime 2^61 - 1) has no prime of
+        # the support, so under default 0 it is no member whatever it is.
+        assert run_cli(
+            capsys,
+            "group", "member", f"1/{denominator}", "{default:0}", "--prime-bound", "100",
+        ) == (0, "false\n", "")
 
     def test_bad_rational_is_2(self, capsys):
         code, _, err = run_cli(capsys, "group", "member", "x/y", "{default:0}")

@@ -190,10 +190,17 @@ def test_padic_precision_cap(capsys, value):
 def test_negative_prime_bound_refuses_an_unproven_cofactor(capsys):
     # 1/25 is a member; with no trial division 25 cannot be proven prime.
     code, out, err = run_cli(
-        capsys, "group", "member", "1/25", "{default:0, 5:2}", "--prime-bound", "-5"
+        capsys, "group", "member", "1/25", "{default:1}", "--prime-bound", "-5"
     )
     assert (code, out) == (4, "")
     assert_one_error_line(err)
+
+
+def test_a_support_prime_needs_no_prime_bound(capsys):
+    # 5 is divided out of 25 as a support prime; nothing is left to factor.
+    assert run_cli(
+        capsys, "group", "member", "1/25", "{default:0, 5:2}", "--prime-bound", "-5"
+    ) == (0, "true\n", "")
 
 
 @pytest.mark.parametrize(

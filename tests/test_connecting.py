@@ -24,8 +24,12 @@ from locgenus import (
 
 from genlib import (
     count_proofs,
+    forbid_factorize,
+    known_primary_parts,
     random_height_sequence,
     random_hom,
+    random_known_hom,
+    random_known_rational,
     random_probe_for,
     random_rational,
     random_twists,
@@ -245,13 +249,13 @@ class TestSurjectivityCriterion:
                         assert component.denominator == p**r
 
 
-def evaluate_applying_every_twist(heights, precompose, twists, q):
+def evaluate_applying_every_twist(heights, precompose, twists, q, parts=p_primary_parts):
     """Evaluation by the splitting of Q/Z, multiplying each finite-height
     p-component by the residue of whatever twist was given at p, identities
-    included."""
+    included. ``parts`` splits a rational into its p-primary parts."""
     total = Fraction(0)
-    for p, part in p_primary_parts(Fraction(precompose) * q).items():
-        k = heights.height_at(p)
+    for p, part in parts(Fraction(precompose) * q).items():
+        k = heights.exceptions.get(p, heights.default)
         if k == INFINITY:
             continue
         mod_exp, unit = twists.get(p, (1, 1))
@@ -338,7 +342,12 @@ def test_twist_at_a_support_prime_is_proven_once(monkeypatch):
 def test_evaluate_refuses_an_unproven_cofactor():
     # Under a negative bound no trial division runs; 25 must not pass as prime.
     with pytest.raises(FactorBoundError):
-        ConnectingHom(HeightSequence(0, {5: 2})).evaluate(Fraction(1, 25), prime_bound=-5)
+        ConnectingHom(HeightSequence(1)).evaluate(Fraction(1, 25), prime_bound=-5)
+
+
+def test_evaluate_divides_out_a_support_prime_under_any_bound():
+    d = ConnectingHom(HeightSequence(0, {5: 2}))
+    assert d.evaluate(Fraction(1, 25), prime_bound=-5).is_zero
 
 
 def kernel_heights_by_valuation(d):
@@ -401,6 +410,32 @@ def test_evaluate_matches_the_splitting_reference(seed):
         q = random_rational(rng, exp_bound=8)
         expected = evaluate_applying_every_twist(d.kernel_heights, d.precompose, d.twists, q)
         assert d.evaluate(q).value == expected
+
+
+def evaluate_by_known_factors(d, q):
+    return evaluate_applying_every_twist(
+        d.kernel_heights, d.precompose, d.twists, q, known_primary_parts
+    )
+
+
+@given(st.integers(0, 2**32), st.sampled_from([0, INFINITY, 1, 2]))
+def test_evaluate_matches_known_factors(seed, default):
+    rng = Random(seed)
+    d = random_known_hom(rng, default)
+    for _ in range(3):
+        q = random_known_rational(rng, d.kernel_heights, d.twists)
+        assert d.evaluate(q).value == evaluate_by_known_factors(d, q)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([0, INFINITY]), st.integers(-10**7, 10**7))
+def test_evaluate_under_default_0_or_inf_never_factors(seed, default, prime_bound):
+    rng = Random(seed)
+    d = random_known_hom(rng, default)
+    q = random_known_rational(rng, d.kernel_heights, d.twists)
+    with pytest.MonkeyPatch.context() as patch:
+        forbid_factorize(patch)
+        value = d.evaluate(q, prime_bound)
+    assert value.value == evaluate_by_known_factors(d, q)
 
 
 #: Hom data over 2, 3 and 5 from a small space, where different data

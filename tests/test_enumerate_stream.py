@@ -138,6 +138,20 @@ def test_output_bytes_are_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_descriptor_iterator_memory_is_bounded():
+    """Up to its first descriptor, the iterator over 10^5 choices at the one
+    prime 2 allocates under 1 MB: the choices are read as a range. Listing
+    them first took about 16 MB."""
+    tracemalloc.start()
+    try:
+        first = next(iter_postnikov_genus(3, 2, 99998))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(first) == "{default:0}"
+    assert peak < 1 << 20, peak
+
+
 def enumeration_peak(*argv):
     """Exit code and peak traced allocation of an enumeration printed to
     the null device."""

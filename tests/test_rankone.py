@@ -19,7 +19,11 @@ from locgenus import (
 from genlib import (
     SMALL_PRIMES,
     count_proofs,
+    forbid_factorize,
+    known_factors,
     random_height_sequence,
+    random_known_hom,
+    random_known_rational,
     random_member_of,
     random_probe_for,
 )
@@ -291,6 +295,34 @@ def test_member_and_lattice_prove_no_prime_again(monkeypatch):
     assert a.member(q) and not b.member(q)
     assert a.intersect(b) == meet and a.join(b) == join
     assert proven == []
+
+
+def member_by_known_factors(q, heights):
+    """Membership from the definition, over the known factors of the
+    denominator of q, with no factor bound."""
+    factors = known_factors(Fraction(q).denominator)
+    return all(e <= heights.exceptions.get(p, heights.default) for p, e in factors.items())
+
+
+@given(st.integers(0, 2**32), st.sampled_from([0, INFINITY, 1, 2]))
+def test_member_matches_known_factors(seed, default):
+    rng = Random(seed)
+    heights = random_known_hom(rng, default).kernel_heights
+    group = RankOneGroup(heights)
+    for _ in range(3):
+        q = random_known_rational(rng, heights)
+        assert group.member(q) == member_by_known_factors(q, heights)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([0, INFINITY]), st.integers(-10**7, 10**7))
+def test_member_under_default_0_or_inf_never_factors(seed, default, prime_bound):
+    rng = Random(seed)
+    heights = random_known_hom(rng, default).kernel_heights
+    q = random_known_rational(rng, heights)
+    with pytest.MonkeyPatch.context() as patch:
+        forbid_factorize(patch)
+        member = RankOneGroup(heights).member(q, prime_bound)
+    assert member == member_by_known_factors(q, heights)
 
 
 @given(heights_strategy(), heights_strategy())
