@@ -108,6 +108,19 @@ Height = Union[int, InfinityType]
 NatPlus = Union[int, StarType]
 
 
+def _decimal(text: str) -> int | None:
+    """The one reader of numbers in text: an optional leading '-' and ASCII
+    digits, read as an int; None for anything else (``int()`` also takes
+    other scripts' digits, '+', '_' and spaces) and past the digit limit."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        return None
+
+
 def is_height(value: object) -> bool:
     """True iff value is a legal height entry (int >= 0 or INFINITY)."""
     if isinstance(value, InfinityType):

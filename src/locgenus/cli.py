@@ -36,6 +36,7 @@ from .arith import (
     PAdicApprox,
     STAR,
     StarType,
+    _decimal,
     is_prime,
     padic_decompose,
 )
@@ -60,144 +61,126 @@ from .rankone import HeightSequence, RankOneGroup, similar, type_of
 # Descriptor grammar
 # ---------------------------------------------------------------------------
 
-_PUNCTUATION = "{}:,"
-_DIGITS = "0123456789"
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
     n = len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCTUATION or c == "*":
+        j = i + 1
+        if c in "{}:,*":
             tokens.append((c, c, i))
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
+        elif "0" <= c <= "9":
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:
-                # Decimals past the interpreter's digit limit refuse to convert.
-                raise ParseError(f"number of {j - i} digits is too long", i) from None
+            value = _decimal(text[i:j])
+            if value is None:  # past the interpreter's digit limit
+                raise ParseError(f"number of {j - i} digits is too long", i)
             tokens.append(("number", value, i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
+        elif c.isalpha():
             while j < n and text[j].isalpha():
                 j += 1
             word = text[i:j]
-            if word in ("default", "inf"):
-                tokens.append((word, word, i))
-                i = j
-                continue
-            raise ParseError(f"unexpected word {word!r}", i)
-        raise ParseError(f"unexpected character {c!r}", i)
+            if word not in ("default", "inf"):
+                raise ParseError(f"unexpected word {word!r}", i)
+            tokens.append((word, word, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
     tokens.append(("end", None, n))
     return tokens
 
 
-def _parse_entries(text: str, value_context: str):
-    """Parse the common grammar; value_context is 'height', 'natplus' or
-    'plain' and decides which special tokens are legal. The keys come back
-    proven prime and ascending, the values legal for the context, and
-    entries equal to the default dropped."""
-    tokens = _tokenize(text)
-    index = 0
+#: The value of each special token, and the error where the context does not
+#: allow it: 'inf' is legal in height sequences, '*' in Postnikov descriptors.
+_SPECIAL_VALUES = {
+    "inf": (INFINITY, "'inf' is only legal in height sequences"),
+    "*": (STAR, "'*' is only legal in Postnikov descriptors"),
+}
 
-    def peek():
-        return tokens[index]
 
-    def advance(kind: str):
-        nonlocal index
-        token = tokens[index]
-        if token[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {token[0]!r}", token[2])
-        index += 1
-        return token
+def _expect(token: tuple[str, object, int], kind: str) -> tuple[str, object, int]:
+    if token[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {token[0]!r}", token[2])
+    return token
 
-    def parse_value():
-        kind, value, position = peek()
-        if kind == "inf" and value_context != "height":
-            raise ParseError("'inf' is only legal in height sequences", position)
-        if kind == "*" and value_context != "natplus":
-            raise ParseError("'*' is only legal in Postnikov descriptors", position)
-        if kind not in ("number", "inf", "*"):
-            raise ParseError(f"expected a value, found {kind!r}", position)
-        advance(kind)
-        return {"inf": INFINITY, "*": STAR}.get(kind, value)
 
-    advance("{")
-    advance("default")
-    advance(":")
-    default = parse_value()
+def _value(token: tuple[str, object, int], special: str | None):
+    kind, value, position = token
+    if kind in _SPECIAL_VALUES:
+        value, message = _SPECIAL_VALUES[kind]
+        if kind != special:
+            raise ParseError(message, position)
+    elif kind != "number":
+        raise ParseError(f"expected a value, found {kind!r}", position)
+    return value
+
+
+def _parse_entries(text: str, special: str | None):
+    """Parse the common grammar; special is the one of 'inf' and '*' that
+    is legal here, or None. The whole text is tokenized first, so a lexical
+    error wins over an earlier grammar error. The keys come back proven
+    prime and ascending, the values legal for the context, and entries
+    equal to the default dropped."""
+    tokens = iter(_tokenize(text))
+    for kind in ("{", "default", ":"):
+        _expect(next(tokens), kind)
+    default = _value(next(tokens), special)
     entries: dict[int, object] = {}
     last_prime = 1
-    while peek()[0] == ",":
-        advance(",")
-        prime_token = advance("number")
-        p = prime_token[1]
+    while (token := next(tokens))[0] == ",":
+        _, p, position = _expect(next(tokens), "number")
         if p in entries:
-            raise ParseError(f"duplicate prime {p}", prime_token[2])
+            raise ParseError(f"duplicate prime {p}", position)
         if not is_prime(p):
-            raise ParseError(f"{p} is not prime", prime_token[2])
+            raise ParseError(f"{p} is not prime", position)
         if p <= last_prime:
-            raise ParseError("primes must be strictly increasing", prime_token[2])
-        advance(":")
-        entries[p] = parse_value()
+            raise ParseError("primes must be strictly increasing", position)
+        _expect(next(tokens), ":")
+        entries[p] = _value(next(tokens), special)
         last_prime = p
-    advance("}")
-    advance("end")
+    _expect(token, "}")
+    _expect(next(tokens), "end")
     return default, {p: v for p, v in entries.items() if v != default}
 
 
 def parse_heights(text: str) -> HeightSequence:
     """Parse a height sequence; values may be 'inf' but never '*'."""
-    default, entries = _parse_entries(text, "height")
+    default, entries = _parse_entries(text, "inf")
     return HeightSequence._of(default, entries)
 
 
 def parse_descriptor(text: str, dimension: int) -> PostnikovGenusDescriptor:
     """Parse a Postnikov descriptor; values may be '*' but never 'inf'."""
-    default, entries = _parse_entries(text, "natplus")
+    default, entries = _parse_entries(text, "*")
     _require_odd_dimension(dimension)
     return PostnikovGenusDescriptor._of(dimension, default, entries)
 
 
 def parse_degree_exponents(text: str) -> dict[int, int]:
     """Parse a plain-integer exponent map for the projective-space command."""
-    default, entries = _parse_entries(text, "plain")
+    default, entries = _parse_entries(text, None)
     if default != 0:
         raise ParseError("degree exponents must use default 0")
     return entries
 
 
 def _ascii_int(text: str) -> int:
-    """An optional leading '-' and ASCII digits, read as an int.
-
-    ``int()`` also takes other scripts' digits, a '+', underscores and
-    surrounding whitespace; this reader takes none of them."""
-    digits = text[1:] if text.startswith("-") else text
-    if digits and not digits.strip(_DIGITS):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """The argparse type of every integer option, refusing in argparse's words."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid rational {text!r}") from None
+    """``n`` or ``n/d``, each read by ``arith._decimal``, with d > 0."""
+    numerator, slash, denominator = text.partition("/")
+    n = _decimal(numerator)
+    d = _decimal(denominator) if slash else 1
+    if n is None or d is None or d <= 0:
+        raise ParseError(f"invalid rational {text!r}")
+    return Fraction(n, d)
 
 
 def _format_bool(value: bool) -> str:
@@ -286,13 +269,10 @@ def _cmd_genus_cp(args):
 
 
 def _cmd_padic_class(args):
-    if args.value.strip().lower() == "zero":
-        n = 0  # flagged as the exact zero by from_int
-    else:
-        try:
-            n = _ascii_int(args.value)
-        except argparse.ArgumentTypeError:
-            raise ParseError(f"invalid integer {args.value!r}") from None
+    # Zero is flagged as the exact zero by from_int.
+    n = 0 if args.value.strip().lower() == "zero" else _decimal(args.value)
+    if n is None:
+        raise ParseError(f"invalid integer {args.value!r}")
     decomposition = padic_decompose(PAdicApprox.from_int(n, args.prime, args.precision))
     if isinstance(decomposition, StarType):
         return [str(STAR)], {"class": str(STAR)}
@@ -306,10 +286,9 @@ def _parse_functor(text: str):
     if name == "neisendorfer":
         return Neisendorfer()
     if name.startswith("postnikov:"):
-        try:
-            level = _ascii_int(name.split(":", 1)[1])
-        except argparse.ArgumentTypeError:
-            raise ParseError(f"invalid Postnikov level in {text!r}") from None
+        level = _decimal(name.split(":", 1)[1])
+        if level is None:
+            raise ParseError(f"invalid Postnikov level in {text!r}")
         return PostnikovSection(level)
     raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
 

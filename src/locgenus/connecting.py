@@ -201,12 +201,20 @@ class ConnectingHom(_Value):
         subgroup by the isomorphic copy containing the integers, so the
         returned membership predicate matches the vanishing locus exactly
         whenever precompose is an integer (in particular for the standard
-        homomorphisms), and up to isomorphism otherwise.
+        homomorphisms), and up to isomorphism otherwise. Off the support an
+        infinite height never moves and a shift below 0 is floored away, so
+        the numerator's rest is factored unless the default is inf, and the
+        denominator's only under a finite default d > 0.
         """
-        shifts = factorize(self._precompose.numerator)
-        shifts.update((p, -e) for p, e in factorize(self._precompose.denominator).items())
+        heights, r = self._kernel_heights, self._precompose
+        support = heights._exceptions
+        shifts, rest = _split_over(abs(r.numerator), heights, support, DEFAULT_PRIME_BOUND)
+        if rest > 1 and heights._default == 0:
+            shifts.update(factorize(rest))
+        down, _ = _split_over(r.denominator, heights, support, DEFAULT_PRIME_BOUND)
+        shifts.update((p, -e) for p, e in down.items())
         return RankOneGroup(_pointwise(
-            self._kernel_heights,
+            heights,
             PrimeMap._of(0, dict(sorted(shifts.items()))),
             lambda k, s: k if isinstance(k, InfinityType) else max(0, k + s),
         ))

@@ -36,6 +36,7 @@ from .arith import (
     StarType,
     InfinityType,
     _Value,
+    _decimal,
     is_nat_plus,
     is_prime,
     padic_decompose,
@@ -547,7 +548,9 @@ class FiniteComplexDescriptor:
             return cls(_PRODUCT_TAGS[text], pi2_finite=False, rational_vanishing_level=5)
         match = _COMPLEX_TAG.match(text)
         if match:
-            n = _tag_dimension(match[2])
+            n = _decimal(match[2])
+            if n is None:  # past the interpreter's digit limit
+                raise DomainError(f"complex tag dimension of {len(match[2])} digits is too long")
             if match[1] == "CP" and n >= 1:
                 return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
             if match[1] == "S":
@@ -556,14 +559,6 @@ class FiniteComplexDescriptor:
                 level = n if n % 2 == 1 else 2 * n - 1
                 return cls(f"S{n}", pi2_finite=(n != 2), rational_vanishing_level=level)
         raise DomainError(f"unknown complex tag {tag!r}")
-
-
-def _tag_dimension(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:
-        # Decimals past the interpreter's digit limit refuse to convert.
-        raise DomainError(f"complex tag dimension of {len(digits)} digits is too long") from None
 
 
 def finite_complex_genus_verdict(

@@ -472,3 +472,100 @@ def test_largest_json_enumeration_is_unchanged(monkeypatch):
     assert sink.hasher.hexdigest() == (
         "d99ed457197e0229e668b96c2ee39f09f126128775c3fbe36b509991ce6f54dd"
     )
+
+
+#: Pieces of descriptor text: the grammar's tokens, near-miss words,
+#: numbers (leading zeros, primes, composites, one past the interpreter's
+#: digit limit) and characters that ``int()``, ``str.isspace`` or
+#: ``str.isalpha`` read differently from ASCII (superscript two, an
+#: Arabic-Indic three, long s, a full-width space, a full-width S).
+PARSE_PIECES = [
+    "{", "}", ":", ",", "*", "inf", "default", "Inf", "DEFAULT", "defaults", "infinity",
+    "-", "+", ".", "/", "_", "x", "²", "٣", "ſ", "　", "Ｓ", "\t", "\n",
+]
+ASCII_DIGITS = set("0123456789")
+PARSE_CONTEXTS = {
+    "heights": parse_heights,
+    "descriptor": lambda text: parse_descriptor(text, 3),
+    "exponents": parse_degree_exponents,
+}
+
+
+def _parse_number(rng):
+    roll = rng.random()
+    if roll < 0.01:
+        return "9" * 4301
+    if roll < 0.1:
+        return "0" + str(rng.randint(0, 99))
+    if roll < 0.5:
+        return str(rng.choice(SMALL_PRIMES + [97, 997, 65537]))
+    return str(rng.randint(0, 60))
+
+
+def _near_valid_tokens(rng):
+    """The tokens of a well-formed descriptor, then up to three token edits."""
+    value = lambda: rng.choice(["inf", "*", "0", None]) or _parse_number(rng)
+    tokens = ["{", "default", ":", value()]
+    for p in sorted(rng.sample(SMALL_PRIMES, rng.randint(0, 4))):
+        tokens += [",", str(p), ":", value()]
+    tokens.append("}")
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        at = rng.randrange(len(tokens) + 1)
+        edit = rng.choice(["insert", "delete", "replace", "swap", "append"])
+        piece = rng.choice([rng.choice(PARSE_PIECES), _parse_number(rng)])
+        if edit == "insert":
+            tokens.insert(at, piece)
+        elif at < len(tokens):
+            if edit == "append":  # no glue, as in "3²"; never a digit
+                tokens[at] += rng.choice(PARSE_PIECES)
+            elif edit == "delete":
+                del tokens[at]
+            elif edit == "replace":
+                tokens[at] = piece
+            elif at + 1 < len(tokens):
+                tokens[at], tokens[at + 1] = tokens[at + 1], tokens[at]
+    return tokens
+
+
+def parse_corpus(seed, size):
+    """Seeded descriptor texts, near-valid and junk. Numbers are never
+    glued together, so no key grows into a prime too large to test."""
+    rng = Random(seed)
+    for _ in range(size):
+        if rng.random() < 0.75:
+            tokens = _near_valid_tokens(rng)
+        else:
+            tokens = [rng.choice([rng.choice(PARSE_PIECES), _parse_number(rng)])
+                      for _ in range(rng.randint(0, 12))]
+        text = ""
+        for token in tokens:
+            glue = rng.choice(["", "", " ", "  ", "　"])
+            if text[-1:] in ASCII_DIGITS and token[:1] in ASCII_DIGITS:
+                glue = " "
+            text += glue + token
+        yield text
+
+
+def parse_outcome(parse, text):
+    try:
+        return ["value", str(parse(text))]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "position", None)]
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the corpus's long numbers assume the interpreter's default digit limit",
+)
+def test_parse_outcomes_are_pinned():
+    """The outcome of every text of a seeded corpus in each grammar context
+    (the value, or the exception's class, message and position), hashed.
+    The digest was taken from the tokenizer that ran ``int()`` on each digit
+    run and parsed with ``peek``/``advance`` closures."""
+    hasher = hashlib.sha256()
+    for text in parse_corpus(20261019, 20000):
+        for context, parse in PARSE_CONTEXTS.items():
+            hasher.update(json.dumps([context, text, parse_outcome(parse, text)]).encode() + b"\n")
+    assert hasher.hexdigest() == (
+        "c518dbcc331b074d5d45860fb022b132f70de8d0cea8c4bb1f2ee6ac7cae7004"
+    )

@@ -160,6 +160,20 @@ def test_huge_fingerprint_entry_exits_4():
     assert f"cap {DEFAULT_FINGERPRINT_CAP}" in proc.stderr
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")
+def test_huge_exponent_rational_exits_2():
+    # Read as a float-style decimal, 1e100000000 would build 10**(10**8);
+    # should it be, the process is killed at the timeout.
+    proc = subprocess.run(
+        [sys.executable, "-m", "locgenus", "group", "member", "1e100000000", "{default:0}"],
+        capture_output=True, text=True, env=locgenus_env(), preexec_fn=_limit_memory,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert_one_error_line(proc.stderr)
+    assert "invalid rational" in proc.stderr
+
+
 @pytest.mark.parametrize("entry", [0, 1, 63, 64, 65, 66, 99, 1000])
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_fingerprint_probes_agree_with_divisibility(p, entry):
@@ -271,6 +285,8 @@ def test_ascii_tags_and_functors_still_fold_case(capsys, tag, functor, space):
         ("group", "member", "1/8", "{default:0, 2:3}", "--prime-bound", "١٠٠"),
         ("genus", "rational", "{default:0}", "--dim", "-"),
         ("genus", "rational", "{default:0}", "--dim", "3 "),
+        *(("group", "member", rational, "{default:0, 2:3}")
+          for rational in ["1e100000000", "١/٨", "+1/8", " 1/8", "1_0/3", "1.5", "1e5", "1/-8"]),
     ],
 )
 def test_command_line_integers_are_ascii(capsys, argv):
@@ -321,6 +337,11 @@ def test_overlong_command_line_integer_exits_2(capsys, argv):
         (("padic", "class", "2", "0012"), "2\n"),
         (("genus", "postnikov", "enumerate", "--dim", "03", "--primes", "2", "--max", "0"),
          "{default:0}\n{default:0, 2:*}\ncount: 2\n"),
+        (("group", "member", "--", "-1/8", "{default:0, 2:3}"), "true\n"),
+        (("group", "member", "-0", "{default:0}"), "true\n"),
+        (("group", "member", "1/08", "{default:0, 2:3}"), "true\n"),
+        (("group", "member", "1/016", "{default:0, 2:3}"), "false\n"),
+        (("group", "member", "7", "{default:0}"), "true\n"),
     ],
 )
 def test_ascii_command_line_integers_still_work(capsys, argv, expected):

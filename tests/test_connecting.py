@@ -375,6 +375,38 @@ def test_kernel_matches_the_valuation_reference(seed, outside, e):
     assert str(kernel) == str(expected)
 
 
+#: A prime past the default factor bound.
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "base, precompose",
+    [
+        (HeightSequence(INFINITY, {2: 1}), Fraction(1, M61)),
+        (HeightSequence(INFINITY, {2: 1}), Fraction(M61)),
+        (HeightSequence(0, {2: 1}), Fraction(1, M61)),
+    ],
+    ids=["inf-denominator", "inf-numerator", "0-denominator"],
+)
+def test_kernel_factors_only_what_its_default_makes_matter(monkeypatch, base, precompose):
+    # Under inf the rest of the numerator changes nothing, and under 0 the
+    # rest of the denominator is floored away.
+    d = ConnectingHom(base, precompose)
+    forbid_factorize(monkeypatch)
+    assert d.kernel().heights == base
+
+
+@pytest.mark.parametrize(
+    "heights, precompose",
+    [(HeightSequence(0), Fraction(M61)), (HeightSequence(1), Fraction(1, M61))],
+    ids=["numerator-under-0", "denominator-under-1"],
+)
+def test_kernel_still_factors_a_rest_that_matters(heights, precompose):
+    # Under 0 the height at 2^61 - 1 rises to 1; under 1 it falls to 0.
+    with pytest.raises(FactorBoundError):
+        ConnectingHom(heights, precompose).kernel()
+
+
 def test_evaluate_builds_no_power_of_a_stored_height():
     # 2**(10**12) would not fit in memory; p^k * a/p^e vanishes for k >= e.
     d = ConnectingHom(HeightSequence(0, {2: 10**12}))

@@ -6,7 +6,9 @@ names the package ``__init__`` imports, and every function, method and
 class the package defines is named somewhere besides its definition. The
 first two catch imports left behind when code is deleted, the third code
 that nothing calls any more. A fourth keeps one equality idiom: only
-``arith._Value`` defines ``__eq__`` and ``__hash__``.
+``arith._Value`` defines ``__eq__`` and ``__hash__``. A fifth keeps one
+reader of numbers in text: only ``arith._decimal`` calls ``int``, and the
+CLI builds a ``Fraction`` only from two ints.
 """
 
 import ast
@@ -102,3 +104,33 @@ def test_only_the_value_base_defines_equality():
         if name in ("__eq__", "__hash__")
     )
     assert defined == ["arith.py:_Value.__eq__", "arith.py:_Value.__hash__"]
+
+
+def calls_by_function(tree, owner=None):
+    """Each call in the tree, with the name of its innermost enclosing
+    function (None at module level)."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from calls_by_function(child, inner)
+
+
+def calls_of(name, path):
+    """(enclosing function, call) for each call of the plain name in path."""
+    return [
+        (owner, call)
+        for owner, call in calls_by_function(parse(path))
+        if isinstance(call.func, ast.Name) and call.func.id == name
+    ]
+
+
+def test_text_becomes_a_number_in_one_place():
+    readers = sorted(
+        f"{path.name}:{owner}" for path in PACKAGE.glob("*.py") for owner, _ in calls_of("int", path)
+    )
+    assert readers == ["arith.py:_decimal"]
+    one_argument = [
+        owner for owner, call in calls_of("Fraction", PACKAGE / "cli.py") if len(call.args) != 2
+    ]
+    assert not one_argument, f"cli.py reads a Fraction from one argument in {one_argument}"
