@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Union
 
 from .errors import DomainError, FactorBoundError, PrecisionError, ResourceError
 
@@ -45,20 +44,47 @@ class _Value:
         return hash(self._key())
 
 
+class _Record(_Value):
+    """A read-only value whose fields are its class's ``__slots__``, stored
+    by ``_set``, compared by all of them unless ``_key`` says otherwise."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple):
+        self._set(*state)
+
+    _key = __getstate__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class _Sentinel(_Value):
-    """A singleton value, equal only to itself and printed as ``_text``."""
+    """The module-level singleton ``_name``, equal only to itself and printed as ``_text``."""
 
     __slots__ = ()
     _text: str
+    _name: str
 
     def _key(self) -> str:
         return self._text
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
+    def __reduce__(self):
+        return self._name
 
     def __repr__(self):
         return self._text
@@ -76,7 +102,7 @@ class InfinityType(_Sentinel):
     """
 
     __slots__ = ()
-    _text = "inf"
+    _text, _name = "inf", "INFINITY"
 
     def __lt__(self, other):
         if isinstance(other, (int, InfinityType)):
@@ -95,17 +121,17 @@ class StarType(_Sentinel):
     """Singleton base point adjoined to the natural numbers."""
 
     __slots__ = ()
-    _text = "*"
+    _text, _name = "*", "STAR"
 
 
 INFINITY = InfinityType()
 STAR = StarType()
 
 #: A height entry: a non-negative integer or INFINITY.
-Height = Union[int, InfinityType]
+Height = int | InfinityType
 
 #: An element of the pointed naturals: a non-negative integer or STAR.
-NatPlus = Union[int, StarType]
+NatPlus = int | StarType
 
 
 def _decimal(text: str) -> int | None:
@@ -254,28 +280,23 @@ def mod_one(q: Fraction | int) -> Fraction:
     return Fraction(q) % 1
 
 
-@dataclass(frozen=True)
-class PAdicApprox:
+class PAdicApprox(_Record):
     """A p-adic integer known to ``precision`` base-p digits.
 
     A finite residue cannot distinguish the exact zero from an element of
     valuation >= precision, so exact zeros carry an explicit flag.
     """
 
-    prime: int
-    precision: int = DEFAULT_PRECISION
-    residue: int = 0
-    exactly_zero: bool = False
+    __slots__ = ("prime", "precision", "residue", "exactly_zero")
 
-    def __post_init__(self):
-        _require_prime(self.prime)
-        _require_precision(self.prime, self.precision)
-        if not 0 <= self.residue < self.modulus:
-            raise DomainError(
-                f"residue {self.residue} outside [0, {self.prime}^{self.precision})"
-            )
-        if self.exactly_zero and self.residue != 0:
+    def __init__(self, prime: int, precision=DEFAULT_PRECISION, residue=0, exactly_zero=False):
+        _require_prime(prime)
+        _require_precision(prime, precision)
+        if not 0 <= residue < prime**precision:
+            raise DomainError(f"residue {residue} outside [0, {prime}^{precision})")
+        if exactly_zero and residue != 0:
             raise DomainError("an exact zero must have residue 0")
+        self._set(prime, precision, residue, exactly_zero)
 
     @property
     def modulus(self) -> int:
@@ -286,11 +307,7 @@ class PAdicApprox:
         """Wrap already validated data without checking it again: a proven
         prime, a checked precision, a residue in [0, prime**precision), and
         residue 0 if exactly_zero."""
-        z = object.__new__(cls)
-        z.__dict__.update(
-            prime=prime, precision=precision, residue=residue, exactly_zero=exactly_zero
-        )
-        return z
+        return object.__new__(cls)._set(prime, precision, residue, exactly_zero)
 
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":

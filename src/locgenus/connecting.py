@@ -20,8 +20,8 @@ group.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .arith import (
     DEFAULT_PRIME_BOUND,

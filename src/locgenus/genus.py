@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
 
 from .arith import (
     NatPlus,
@@ -35,6 +34,7 @@ from .arith import (
     STAR,
     StarType,
     InfinityType,
+    _Record,
     _Value,
     _decimal,
     is_nat_plus,
@@ -110,7 +110,7 @@ class TorsionShape(PrimeMap):
         return primes or "none"
 
 
-class RationalGenusElement(_Value):
+class RationalGenusElement(_Record):
     """A member of the extended rationalization genus of an odd sphere.
 
     Carries the odd dimension and the connecting homomorphism of the
@@ -118,20 +118,11 @@ class RationalGenusElement(_Value):
     when their dimensions and homomorphisms are.
     """
 
-    __slots__ = ("_dimension", "_hom")
+    __slots__ = ("dimension", "hom")
 
     def __init__(self, dimension: int, hom: ConnectingHom):
         _require_odd_dimension(dimension)
-        self._dimension = dimension
-        self._hom = hom
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def hom(self) -> ConnectingHom:
-        return self._hom
+        self._set(dimension, hom)
 
     def homotopy_groups(self) -> tuple[TypeClass, TorsionShape]:
         """The two variable homotopy groups, as (type in degree n, torsion
@@ -142,7 +133,7 @@ class RationalGenusElement(_Value):
         divisible group in the Pruefer part is zero or everything, so the
         cokernel is supported exactly where the summand was dropped.
         """
-        kernel_heights = self._hom.kernel().heights
+        kernel_heights = self.hom.kernel().heights
         return type_of(kernel_heights), TorsionShape.from_heights(kernel_heights)
 
     def is_n_minus_1_connected(self) -> bool:
@@ -151,17 +142,11 @@ class RationalGenusElement(_Value):
         Equivalent to the kernel being a group of pseudo-integers: every
         height finite, no Pruefer summand dropped.
         """
-        return self._hom.kernel().is_pseudo_integers()
+        return self.hom.kernel().is_pseudo_integers()
 
     def classify(self) -> TypeClass:
         """Complete invariant: two members agree iff their classes do."""
-        return self._hom.double_coset_class()
-
-    def _key(self) -> tuple:
-        return self._dimension, self._hom
-
-    def __repr__(self):
-        return f"RationalGenusElement(dimension={self._dimension}, hom={self._hom!r})"
+        return self.hom.double_coset_class()
 
 
 class PostnikovGenusDescriptor(PrimeMap):
@@ -481,34 +466,38 @@ def enumerate_postnikov_genus(
     return list(iter_postnikov_genus(dimension, prime_bound, entry_bound))
 
 
-@dataclass(frozen=True)
-class Neisendorfer:
+class Neisendorfer(_Record):
     """Marker for the nullification-plus-completion functor."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PostnikovSection:
+
+class PostnikovSection(_Record):
     """Marker for the Postnikov section functor at the stored level."""
 
-    level: int
+    __slots__ = ("level",)
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise DomainError(f"Postnikov level must be >= 1, got {self.level}")
+    def __init__(self, level: int):
+        if not isinstance(level, int) or level < 1:
+            raise DomainError(f"Postnikov level must be >= 1, got {level}")
+        self._set(level)
 
 
 class VerdictKind(Enum):
+    """What the genus rules conclude about a catalogued complex."""
+
     SINGLETON = "singleton"
     SINGLETON_AMONG_FINITE = "singleton-among-finite-complexes"
     HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
-@dataclass(frozen=True)
-class GenusVerdict:
-    kind: VerdictKind
-    space: str
-    witness: str | None = None
-    reason: str = ""
+class GenusVerdict(_Record):
+    """The ``VerdictKind`` for a catalogued space, a known second member or None, and why."""
+
+    __slots__ = ("kind", "space", "witness", "reason")
+
+    def __init__(self, kind: VerdictKind, space: str, witness=None, reason=""):
+        self._set(kind, space, witness, reason)
 
 
 _COMPLEX_TAG = re.compile(r"^(S|CP)([0-9]+)$")
@@ -522,8 +511,7 @@ _KNOWN_COUNTEREXAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class FiniteComplexDescriptor:
+class FiniteComplexDescriptor(_Record):
     """A catalogued finite complex with the metadata the verdicts need.
 
     The catalogue is closed: spheres S<n> (n >= 2), complex projective
@@ -533,9 +521,13 @@ class FiniteComplexDescriptor:
     homotopy vanishes. Descriptors are equal when their tags are.
     """
 
-    tag: str
-    pi2_finite: bool = field(compare=False)
-    rational_vanishing_level: int = field(compare=False)
+    __slots__ = ("tag", "pi2_finite", "rational_vanishing_level")
+
+    def __init__(self, tag: str, pi2_finite: bool, rational_vanishing_level: int):
+        self._set(tag, pi2_finite, rational_vanishing_level)
+
+    def _key(self) -> str:
+        return self.tag
 
     @classmethod
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":

@@ -16,9 +16,9 @@ groups up to abstract isomorphism.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .arith import (
     DEFAULT_PRIME_BOUND,

@@ -236,6 +236,15 @@ class TestSentinels:
         assert copy.deepcopy(STAR) == STAR
         assert STAR != INFINITY
 
+    def test_copies_and_pickles_are_the_singletons(self):
+        import copy
+        import pickle
+
+        for sentinel in (INFINITY, STAR):
+            assert copy.copy(sentinel) is sentinel and copy.deepcopy(sentinel) is sentinel
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel
+
     def test_reprs(self):
         assert repr(INFINITY) == "inf"
         assert repr(STAR) == "*"

@@ -385,6 +385,11 @@ class TestVerdicts:
         with pytest.raises(DomainError, match="unknown genus functor 'neisendorfer'"):
             finite_complex_genus_verdict(FiniteComplexDescriptor.from_tag("S3"), "neisendorfer")
 
+    @pytest.mark.parametrize("level", [2.5, "3", None])
+    def test_section_level_must_be_an_integer(self, level):
+        with pytest.raises(DomainError, match="Postnikov level must be >= 1"):
+            PostnikovSection(level)
+
     def test_neisendorfer_needs_finite_pi2(self):
         verdict = finite_complex_genus_verdict(
             FiniteComplexDescriptor.from_tag("CP2"), Neisendorfer()

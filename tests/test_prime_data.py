@@ -20,13 +20,18 @@ from locgenus import (
     ConnectingHom,
     DomainError,
     FakeSphereModel,
+    FiniteComplexDescriptor,
     HeightSequence,
+    Neisendorfer,
+    PAdicApprox,
     PostnikovGenusDescriptor,
+    PostnikovSection,
     QmodZElement,
     RankOneGroup,
     RationalGenusElement,
     TorsionShape,
     TypeClass,
+    finite_complex_genus_verdict,
     type_of,
 )
 from locgenus.arith import _Value
@@ -146,6 +151,8 @@ def small_values(rng):
     )
     twists = {p: (rng.randint(1, 2), pick([1, 5, 7])) for p in rng.sample([2, 3], rng.randint(0, 1))}
     hom = ConnectingHom(heights, pick([1, 2, Fraction(1, 2)]), twists)
+    complex_descriptor = FiniteComplexDescriptor.from_tag(pick(["S3", "CP2", "S2xS5"]))
+    functor = pick([Neisendorfer(), PostnikovSection(pick([2, 3]))])
     return [
         heights,
         type_of(heights),
@@ -157,6 +164,10 @@ def small_values(rng):
         FakeSphereModel(descriptor),
         QmodZElement(Fraction(rng.randint(-4, 4), 4)),
         pick([INFINITY, STAR]),
+        PAdicApprox.from_int(rng.randint(-2, 2), pick([2, 3]), 2),
+        functor,
+        complex_descriptor,
+        finite_complex_genus_verdict(complex_descriptor, functor),
     ]
 
 

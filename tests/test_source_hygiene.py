@@ -6,9 +6,11 @@ names the package ``__init__`` imports, and every function, method and
 class the package defines is named somewhere besides its definition. The
 first two catch imports left behind when code is deleted, the third code
 that nothing calls any more. A fourth keeps one equality idiom: only
-``arith._Value`` defines ``__eq__`` and ``__hash__``. A fifth keeps one
-reader of numbers in text: only ``arith._decimal`` calls ``int``, and the
-CLI builds a ``Fraction`` only from two ints.
+``arith._Value`` defines ``__eq__`` and ``__hash__``, and no module imports
+``dataclasses`` (whose generated methods would be a second idiom) or
+``typing``. A fifth keeps one reader of numbers in text: only
+``arith._decimal`` calls ``int``, and the CLI builds a ``Fraction`` only
+from two ints.
 """
 
 import ast
@@ -94,7 +96,6 @@ def class_attribute_names(cls):
 
 
 def test_only_the_value_base_defines_equality():
-    # Dataclasses generate their methods at run time, so they are not seen.
     defined = sorted(
         f"{path.name}:{node.name}.{name}"
         for path in PACKAGE.glob("*.py")
@@ -104,6 +105,18 @@ def test_only_the_value_base_defines_equality():
         if name in ("__eq__", "__hash__")
     )
     assert defined == ["arith.py:_Value.__eq__", "arith.py:_Value.__hash__"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_dataclasses_or_typing(path):
+    modules = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    banned = {name for name in modules if name.split(".")[0] in ("dataclasses", "typing")}
+    assert not banned, f"{path.name} imports {sorted(banned)}"
 
 
 def calls_by_function(tree, owner=None):
