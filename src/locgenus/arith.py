@@ -43,6 +43,10 @@ class _Value:
     def __hash__(self):
         return hash(self._key())
 
+    def __reduce_ex__(self, protocol):
+        # Protocols 0 and 1 refuse slotted objects: give them protocol 2's reduction.
+        return object.__reduce_ex__(self, max(protocol, 2))
+
 
 class _Record(_Value):
     """A read-only value whose fields are its class's ``__slots__``, stored

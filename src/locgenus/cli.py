@@ -11,7 +11,8 @@ space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte.
 
 The commands are described once, as data, in ``_COMMANDS``; the argparse
-tree is built from it on first use and kept for the process.
+tree is built from it on first use and kept for the process. A leaf parser
+parses a command directly; the tree speaks only for errors and help.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard
 (each error class carries its ``exit_code``), 141 when the reader closes
@@ -22,6 +23,7 @@ stdout before the output ends. Errors are reported on stderr as a single
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import itertools
 import json
@@ -348,11 +350,35 @@ _COMMANDS = (
 _DESTS = ("command", "subcommand", "subsubcommand")
 
 
+#: Set while ``main`` parses a command with its leaf parser alone.
+_LEAF_FIRST = contextvars.ContextVar("leaf_first", default=False)
+
+
+class _Declined(Exception):
+    """A leaf parser would print; the tree must parse the command."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser of the tree; under ``_LEAF_FIRST`` it declines to print."""
+
+    def print_help(self, file=None):
+        if _LEAF_FIRST.get():
+            raise _Declined
+        super().print_help(file)
+
+    def error(self, message):
+        if _LEAF_FIRST.get():
+            raise _Declined
+        super().error(message)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse tree of ``_COMMANDS``, built once per process."""
+def _parser() -> _Parser:
+    """The argparse tree of ``_COMMANDS``, built once per process; its
+    ``leaves`` map each command's words to the command's leaf parser."""
     description = "Exact classification of localization-genus data"
-    root = argparse.ArgumentParser(prog="locgenus", description=description)
+    root = _Parser(prog="locgenus", description=description)
+    root.leaves = {}
     # Each leaf takes --json from this parent, with no default, so a leaf
     # that is not given the flag keeps the root's value: the flag may come
     # before the command words or after them.
@@ -376,12 +402,34 @@ def _parser() -> argparse.ArgumentParser:
         for argument, options in arguments:
             leaf.add_argument(argument, **options)
         leaf.set_defaults(handler=handler)
+        root.leaves[tuple(path.split())] = leaf
     return root
 
 
-def main(argv: list[str] | None = None) -> int:
+def _leaf_first(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the tree would give argv, parsed by the leaf alone; None
+    where the tree must parse argv: the words after any leading --json name
+    no leaf, or the leaf would print or leave words over."""
+    leaves = _parser().leaves
+    rest = list(itertools.dropwhile("--json".__eq__, argv))
+    words = next((w for w in (tuple(rest[:n]) for n in (3, 2, 1)) if w in leaves), None)
+    if words is None:
+        return None
+    namespace = argparse.Namespace(json=len(rest) < len(argv), **dict(zip(_DESTS, words)))
+    token = _LEAF_FIRST.set(True)
     try:
-        args = _parser().parse_args(argv)
+        namespace, left = leaves[words].parse_known_args(rest[len(words):], namespace)
+    except _Declined:
+        return None
+    finally:
+        _LEAF_FIRST.reset(token)
+    return None if left else namespace
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _leaf_first(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

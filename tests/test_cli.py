@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 from random import Random
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, strategies as st
 from locgenus import (
     INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, arith, errors,
 )
-from locgenus.cli import _COMMANDS, main, parse_degree_exponents, parse_descriptor, parse_heights
+from locgenus.cli import (
+    _COMMANDS, _leaf_first, _parser, main, parse_degree_exponents, parse_descriptor, parse_heights,
+)
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
 from test_cli_guards import locgenus_env
@@ -373,6 +376,151 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
             [sys.executable, "-m", "locgenus", *argv], capture_output=True, text=True, env=env
         )
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+#: The commands of the README.
+README_COMMANDS = [
+    ["type", "canon", "{default:0, 2:inf, 3:5}"],
+    ["type", "similar", "{default:0}", "{default:0,2:3}"],
+    ["group", "member", "1/8", "{default:0, 2:3}"],
+    ["group", "pseudo", "{default:0, 3:7}"],
+    ["genus", "rational", "{default:0, 2:inf}", "--dim", "3"],
+    ["genus", "postnikov", "fingerprint", "{default:*, 2:3}", "--dim", "3"],
+    ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "3", "--max", "1"],
+    ["genus", "cp", "--n", "2", "{default:0, 3:2}"],
+    ["padic", "class", "2", "12"],
+    ["padic", "class", "2", "zero"],
+    ["verdict", "S2xS5", "--functor", "postnikov:2"],
+]
+
+
+def test_only_errors_and_help_reach_the_tree(capsys, monkeypatch):
+    """A command is parsed by its leaf parser alone; the root parser's
+    parse_args runs once for an argparse error or help, and where the
+    words name no leaf."""
+    root = _parser()
+    calls = []
+    parse_args = root.parse_args
+    monkeypatch.setattr(root, "parse_args", lambda argv: calls.append(argv) or parse_args(argv))
+    for argv in README_COMMANDS:
+        for form in (argv, ["--json", *argv], [*argv, "--json"]):
+            assert main(form) == 0
+    assert calls == []
+    tree = {  # each argv, and its exit code
+        ("genus", "rational", "{default:0, 2:inf}"): 2,
+        ("verdict", "--help"): 0,
+        ("genus", "--json", "postnikov", "fingerprint", "{default:*, 2:3}", "--dim", "3"): 2,
+    }
+    assert {argv: main(list(argv)) for argv in tree} == tree
+    capsys.readouterr()
+    assert calls == [list(argv) for argv in tree]
+
+
+def test_threads_parse_independently(capsys):
+    """One thread's leaf-first parse never turns another thread's argparse
+    error, printed by the same leaf parser through the tree, into anything
+    but exit 2."""
+    failures = []
+
+    def work(argv, code):
+        try:
+            for _ in range(500):
+                assert main(argv) == code
+        except Exception as exc:
+            failures.append((argv, exc))
+
+    cases = [(["verdict", "S3", "--functor", "neisendorfer"], 0), (["verdict", "S3"], 2)]
+    threads = [threading.Thread(target=work, args=cases[i % 2]) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+#: Commands of every leaf, two with ``--`` before a negative number, and
+#: the words that mutate them: flags of every kind, their abbreviations and
+#: near misses, and words out of place.
+ARGV_BASES = [
+    ["type", "canon", "{default:0, 2:inf, 3:5}"],
+    ["type", "similar", "{default:0}", "{default:0, 2:3}"],
+    ["group", "member", "1/8", "{default:0, 2:3}", "--prime-bound", "100"],
+    ["group", "member", "--prime-bound", "100", "--", "-1/2", "{default:0, 2:1}"],
+    ["group", "pseudo", "{default:0, 3:7}"],
+    ["genus", "rational", "{default:0, 2:inf}", "--dim", "3"],
+    ["genus", "postnikov", "fingerprint", "{default:*, 2:3}", "--dim", "3"],
+    ["genus", "postnikov", "enumerate", "--dim", "3", "--primes", "3", "--max", "1"],
+    ["genus", "cp", "{default:0, 3:2}", "--n", "2"],
+    ["padic", "class", "2", "12", "--precision", "8"],
+    ["padic", "class", "--", "3", "-12"],
+    ["verdict", "S2xS5", "--functor", "postnikov:2"],
+]
+ARGV_WORDS = [
+    "--json", "--json", "--json", "-h", "--help", "--he", "--js", "--prime-b", "--bogus",
+    "-1/2", "--dim", "3", "--json=1", "--=x", "-hx", "genus", "postnikov", "x",
+]
+
+
+def argv_corpus(seed, size):
+    """Seeded mutations of ``ARGV_BASES``: words inserted anywhere, a tail
+    cut, a word deleted, neighbours swapped, ``--`` put first. A second
+    ``--`` is never added: Python 3.11's argparse can pass it to a
+    positional as an empty list."""
+    rng = Random(seed)
+    for _ in range(size):
+        argv = list(rng.choice(ARGV_BASES))
+        for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+            edit = rng.choice(["insert", "insert", "insert", "cut", "delete", "swap", "--"])
+            at = rng.randrange(len(argv) + 1)
+            if edit == "insert":
+                argv.insert(at, rng.choice(ARGV_WORDS))
+            elif edit == "cut":
+                del argv[at:]
+            elif edit == "--":
+                argv[:0] = ["--"] * ("--" not in argv)
+            elif at < len(argv) - (edit == "swap"):
+                if edit == "delete":
+                    del argv[at]
+                else:
+                    argv[at], argv[at + 1] = argv[at + 1], argv[at]
+        yield argv
+
+
+def test_leaf_first_parse_matches_the_tree(capsys):
+    """Where the leaf parser answers alone, it gives the tree's namespace,
+    and it never prints."""
+    answered = 0
+    for argv in argv_corpus(20261019, 6000):
+        namespace = _leaf_first(argv)
+        assert capsys.readouterr() == ("", ""), argv
+        if namespace is not None:
+            answered += 1
+            assert vars(namespace) == vars(_parser().parse_args(argv)), argv
+    assert answered > 1500
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse's usage and help texts vary by version"
+)
+def test_mutated_commands_are_pinned(capsys, monkeypatch):
+    """The exit code, stdout and stderr of every argv of the corpus, hashed.
+    The digest was taken from the implementation that parsed every command
+    with the whole argparse tree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    hasher = hashlib.sha256()
+    for argv in argv_corpus(20261019, 6000):
+        code, out, err = run_cli(capsys, *argv)
+        hasher.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert hasher.hexdigest() == (
+        "b2c994c34f27a34b9d62ef41658aee70dd1fc4451d90208e1460e221e636e4ee"
+    )
 
 
 @pytest.mark.parametrize("path", [path for path, *_ in _COMMANDS])

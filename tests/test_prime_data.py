@@ -8,6 +8,7 @@ of different kinds never compare equal, and the printed forms are
 unchanged.
 """
 
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -202,6 +203,19 @@ class TestQmodZHashContract:
         assert QmodZElement(0) != 0
         assert QmodZElement(Fraction(1, 2)) != Fraction(3, 2)
         assert QmodZElement(Fraction(1, 2)) == QmodZElement(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_every_value_type_pickles(protocol):
+    rng = Random(113)
+    seen = set()
+    for _ in range(20):
+        for value in small_values(rng):
+            twin = pickle.loads(pickle.dumps(value, protocol))
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value), (value, protocol)
+            seen.add(type(value))
+    assert value_types() <= seen
 
 
 def locus_by_hand(h):

@@ -119,8 +119,8 @@ def test_no_field_can_be_added():
         Neisendorfer().level = 2
 
 
-#: The pickle protocols that every slotted value type of the package supports.
-PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+#: Every pickle protocol; every value type of the package supports them all.
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 @pytest.mark.parametrize(
