@@ -222,21 +222,11 @@ def _cmd_genus_rational(args):
     element = RationalGenusElement(args.dim, beta(RankOneGroup(parse_heights(args.heights))))
     pi_n, torsion = element.homotopy_groups()
     connected = element.is_n_minus_1_connected()
-    class_text = str(element.classify())
-    lines = [
-        f"type: {class_text}",
-        f"pi_n: {pi_n}",
-        f"torsion_primes: {torsion}",
-        f"connected: {_format_bool(connected)}",
-    ]
+    texts = {"type": str(element.classify()), "pi_n": str(pi_n),
+             "torsion_primes": str(torsion), "connected": _format_bool(connected)}
     torsion_json = {"cofinite": torsion.is_cofinite, "primes": sorted(torsion.listed_primes)}
-    payload = {
-        "type": class_text,
-        "pi_n": str(pi_n),
-        "torsion_primes": torsion_json,
-        "connected": connected,
-    }
-    return lines, payload
+    payload = {**texts, "torsion_primes": torsion_json, "connected": connected}
+    return [f"{key}: {text}" for key, text in texts.items()], payload
 
 
 def _cmd_genus_fingerprint(args):
@@ -359,7 +349,10 @@ class _Declined(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser of the tree; under ``_LEAF_FIRST`` it declines to print."""
+    """A parser of the tree; under ``_LEAF_FIRST`` it declines to print. The
+    tree must print: its root classifies every word, so ``--=x`` after the
+    command words is the root's "ambiguous option" error, which a leaf would
+    print with its own usage (68 of the 6,000 pinned ``argv_corpus`` outputs)."""
 
     def print_help(self, file=None):
         if _LEAF_FIRST.get():
@@ -433,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # Python 3.11's argparse gives a positional after a second '--' as [].
+        if any(isinstance(value, list) for value in vars(args).values()):
+            raise ParseError("'--' may be given only once")
         lines, payload = args.handler(args)
     except LocgenusError as exc:
         print(f"error: {exc}", file=sys.stderr)

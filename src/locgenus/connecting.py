@@ -220,8 +220,11 @@ class ConnectingHom(_Value):
         ))
 
     def double_coset_class(self) -> TypeClass:
-        """The complete invariant under rational pre-composition and twists."""
-        return type_of(self.kernel().heights)
+        """The complete invariant under rational pre-composition and twists:
+        the type of the kernel heights, read without factoring. The kernel's
+        height at p is h_p shifted by v_p(r) and floored at 0, which keeps the
+        default and leaves infinite heights infinite and finite ones finite."""
+        return type_of(self._kernel_heights)
 
     def with_twist(self, p: int, mod_exp: int, unit: int) -> "ConnectingHom":
         """A copy with the twist at p replaced by (mod_exp, unit)."""

@@ -83,9 +83,13 @@ class TorsionShape(PrimeMap):
     @classmethod
     def from_heights(cls, heights: HeightSequence) -> "TorsionShape":
         """The primes where the height is infinite, as listed by their type."""
-        locus = type_of(heights)
-        cofinite = isinstance(locus.default, InfinityType)
-        return cls._of(cofinite, dict.fromkeys(locus.support, not cofinite))
+        return cls._of_type(type_of(heights))
+
+    @classmethod
+    def _of_type(cls, kind: TypeClass) -> "TorsionShape":
+        """The primes of infinite height in a type's sequences."""
+        cofinite = isinstance(kind._default, InfinityType)
+        return cls._of(cofinite, dict.fromkeys(kind._exceptions, not cofinite))
 
     @property
     def is_empty(self) -> bool:
@@ -131,18 +135,21 @@ class RationalGenusElement(_Record):
         Degree n is the kernel type. Degree n-1 collects a full Pruefer
         group at each prime of infinite kernel height: the image of a
         divisible group in the Pruefer part is zero or everything, so the
-        cokernel is supported exactly where the summand was dropped.
+        cokernel is supported exactly where the summand was dropped. Both
+        are read off the type of the hom's kernel heights, which the kernel
+        shares (see ``ConnectingHom.double_coset_class``): nothing is factored.
         """
-        kernel_heights = self.hom.kernel().heights
-        return type_of(kernel_heights), TorsionShape.from_heights(kernel_heights)
+        kind = self.hom.double_coset_class()
+        return kind, TorsionShape._of_type(kind)
 
     def is_n_minus_1_connected(self) -> bool:
         """True iff the homomorphism is surjective.
 
         Equivalent to the kernel being a group of pseudo-integers: every
-        height finite, no Pruefer summand dropped.
+        height finite, no Pruefer summand dropped. Shifting a height by v_p(r)
+        keeps it finite or infinite, so the hom's kernel heights answer.
         """
-        return self.hom.kernel().is_pseudo_integers()
+        return self.hom.kernel_heights.all_finite()
 
     def classify(self) -> TypeClass:
         """Complete invariant: two members agree iff their classes do."""

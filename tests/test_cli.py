@@ -17,7 +17,7 @@ from locgenus.cli import (
 )
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
-from test_cli_guards import locgenus_env
+from test_cli_guards import assert_one_error_line, locgenus_env
 
 
 def run_cli(capsys, *argv):
@@ -378,6 +378,22 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+@pytest.mark.parametrize(
+    "argv", [["padic", "class", "--", "3", "--"], ["group", "member", "--", "-1/2", "--"]]
+)
+def test_a_second_double_dash_is_a_parse_error(capsys, argv):
+    # Python 3.11's argparse gives the last positional as [], not as '--'.
+    refusal = "'--' may be given only once" if sys.version_info[:2] == (3, 11) else ""
+    fresh = subprocess.run(
+        [sys.executable, "-m", "locgenus", *argv], capture_output=True, text=True,
+        env=locgenus_env(),
+    )
+    for code, out, err in (run_cli(capsys, *argv), (fresh.returncode, fresh.stdout, fresh.stderr)):
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert refusal in err
+
+
 #: The commands of the README.
 README_COMMANDS = [
     ["type", "canon", "{default:0, 2:inf, 3:5}"],
@@ -471,8 +487,9 @@ ARGV_WORDS = [
 def argv_corpus(seed, size):
     """Seeded mutations of ``ARGV_BASES``: words inserted anywhere, a tail
     cut, a word deleted, neighbours swapped, ``--`` put first. A second
-    ``--`` is never added: Python 3.11's argparse can pass it to a
-    positional as an empty list."""
+    ``--`` is never added, which keeps the pinned digest: Python 3.11's
+    argparse can pass it to a positional as an empty list, a namespace that
+    ``main`` now refuses (``test_a_second_double_dash_is_a_parse_error``)."""
     rng = Random(seed)
     for _ in range(size):
         argv = list(rng.choice(ARGV_BASES))

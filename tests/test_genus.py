@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locgenus import (
     INFINITY,
@@ -9,6 +10,7 @@ from locgenus import (
     ConnectingHom,
     DomainError,
     EnumerationLimitError,
+    FactorBoundError,
     FingerprintCapError,
     FiniteComplexDescriptor,
     HeightSequence,
@@ -32,7 +34,7 @@ from locgenus import (
     type_of,
 )
 
-from genlib import random_hom
+from genlib import BIG_PRIMES, SMALL_PRIMES, forbid_factorize, known_factors, random_hom
 
 
 class TestTorsionShape:
@@ -133,6 +135,76 @@ class TestRationalGenusElement:
                 else:
                     hit = hom.evaluate(Fraction(1, p ** (k + 1))).p_component(p)
                     assert hit != 0
+
+
+def kernel_invariants_by_valuation(hom):
+    """The type, torsion and finiteness of the kernel heights, built from
+    the definition: at each prime of the base support or of the precompose
+    r, the base height shifted by v_p(r) and floored at 0, infinite heights
+    kept. The valuations are read off ``known_factors``, since every test
+    builds r from the known primes, so nothing is factored."""
+    base, r = hom.kernel_heights, hom.precompose
+    up, down = known_factors(abs(r.numerator)), known_factors(r.denominator)
+    entries = {}
+    for p in {*base.support, *up, *down}:
+        k = base.height_at(p)
+        entries[p] = k if k == INFINITY else max(0, k + up.get(p, 0) - down.get(p, 0))
+    kernel = HeightSequence(base.default, entries)
+    infinite = {p for p in kernel.support if kernel.height_at(p) == INFINITY}
+    if kernel.default == INFINITY:
+        finite = set(kernel.support) - infinite
+        torsion = TorsionShape(finite, complement=True)
+        return TypeClass(INFINITY, finite_primes=finite), torsion, False
+    return TypeClass(kernel.default, infinite), TorsionShape(infinite), not infinite
+
+
+def rational_invariants(hom):
+    """What the four entry points answer for hom, in the oracle's order."""
+    element = RationalGenusElement(3, hom)
+    kind, torsion = element.homotopy_groups()
+    assert element.classify() == hom.double_coset_class() == kind
+    return kind, torsion, element.is_n_minus_1_connected()
+
+
+#: Powers of small primes and of the primes near 10^6, exponents -3..3.
+prime_powers = st.tuples(st.sampled_from([*SMALL_PRIMES[:6], *BIG_PRIMES]), st.integers(-3, 3))
+
+
+@given(st.integers(0, 2**32), st.lists(prime_powers, max_size=3))
+def test_rational_invariants_match_the_kernel_by_valuation(seed, powers):
+    hom = random_hom(Random(seed))
+    for p, e in powers:
+        hom = hom.precomposed_by(Fraction(p) ** e)
+    assert rational_invariants(hom) == kernel_invariants_by_valuation(hom)
+
+
+def test_rational_invariants_build_no_kernel_and_never_factor(monkeypatch):
+    rng = Random(73)
+    # Each hom is pre-composed by 1000003/1000033 or by its inverse.
+    ratios = [Fraction(*rng.sample(BIG_PRIMES, 2)) for _ in range(40)]
+    homs = [random_hom(rng).precomposed_by(r) for r in ratios]
+    homs.append(ConnectingHom(HeightSequence(1), BIG_PRIMES[0] * BIG_PRIMES[1]))
+    expected = list(map(kernel_invariants_by_valuation, homs))
+
+    def refuse(self):
+        raise AssertionError("ConnectingHom.kernel was called")
+
+    forbid_factorize(monkeypatch)
+    monkeypatch.setattr(ConnectingHom, "kernel", refuse)
+    assert list(map(rational_invariants, homs)) == expected
+
+
+def test_rational_invariants_past_the_factor_bound():
+    # The product of the two primes near 10^6 cannot be factored under the
+    # default bound, and under default 1 only the kernel needs it factored.
+    hom = ConnectingHom(HeightSequence(1), 1000003 * 1000033)
+    element = RationalGenusElement(3, hom)
+    assert element.classify() == TypeClass(1)
+    assert element.homotopy_groups() == (TypeClass(1), TorsionShape())
+    assert element.is_n_minus_1_connected() is True
+    assert hom.double_coset_class() == TypeClass(1)
+    with pytest.raises(FactorBoundError):
+        hom.kernel()
 
 
 class TestPostnikovDescriptor:
