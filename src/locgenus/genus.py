@@ -37,6 +37,7 @@ from .arith import (
     _Record,
     _Value,
     _decimal,
+    _require_prime,
     is_nat_plus,
     is_prime,
     padic_decompose,
@@ -56,6 +57,28 @@ ENUMERATION_LIMIT = 10**6
 def _require_odd_dimension(n: int) -> None:
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
+
+
+def _require_int(name: str, value: object) -> None:
+    """Refuse anything but an int, bools included, before it is used."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_cap(cap: int) -> None:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
+
+
+def _divides(p: int, entry: NatPlus, m: int) -> bool:
+    """Whether p^entry divides m, the base point dividing everything."""
+    if isinstance(entry, StarType):
+        return True
+    # p^entry > |m| once entry exceeds the bit length of m, so only
+    # m = 0 is divisible; no such power is built.
+    if entry > m.bit_length():
+        return m == 0
+    return m % p**entry == 0
 
 
 class TorsionShape(PrimeMap):
@@ -217,6 +240,8 @@ class FakeSphereModel(_Value):
     __slots__ = ("_descriptor",)
 
     def __init__(self, descriptor: PostnikovGenusDescriptor):
+        if not isinstance(descriptor, PostnikovGenusDescriptor):
+            raise DomainError(f"descriptor must be a PostnikovGenusDescriptor, got {descriptor!r}")
         self._descriptor = descriptor
 
     @property
@@ -235,13 +260,8 @@ class FakeSphereModel(_Value):
         zero.
         """
         entry = self._descriptor.entry_at(p)
-        if isinstance(entry, StarType):
-            return True
-        # p^entry > |m| once entry exceeds the bit length of m, so only
-        # m = 0 is divisible; no such power is built.
-        if entry > m.bit_length():
-            return m == 0
-        return m % p**entry == 0
+        _require_int("multiple m", m)
+        return _divides(p, entry, m)
 
     def vanishes_identically(self, p: int) -> bool:
         """True iff the operation at p is zero on every multiple of the
@@ -251,31 +271,59 @@ class FakeSphereModel(_Value):
     def fingerprint(self, p: int, cap: int = DEFAULT_FINGERPRINT_CAP) -> NatPlus:
         """Recover the per-prime invariant from oracle probes.
 
-        Linear search for the least k with the operation vanishing on p^k
-        times the generator. The base point is reported only when the
-        operation vanishes identically; a finite invariant beyond the cap
-        is indistinguishable from it by bounded probing and raises instead.
+        The least k with the operation vanishing on p^k times the generator.
+        The operation vanishes on p^(k+1) times it whenever it vanishes on
+        p^k, so the search gallops through k = 0, 1, 3, 7, ... (capped at
+        ``cap``) and then bisects: an answer k takes at most
+        2*ceil(log2(k+1)) + 1 probes, a refusal ceil(log2(cap+1)) + 1, and
+        no power past p^min(cap, 2k+1) is built. The base point is reported
+        only when the operation vanishes identically; a finite invariant
+        beyond the cap is indistinguishable from it by bounded probing, so
+        the search raises exactly when the probe at p^cap does not vanish.
+        A cap must be an integer >= 0; p is proven prime once.
         """
-        if self.vanishes_identically(p):
+        _require_cap(cap)
+        _require_prime(p)
+        return self._fingerprint(p, cap)
+
+    def _fingerprint(self, p: int, cap: int) -> NatPlus:
+        """``fingerprint`` for a proven prime and a checked cap, probing
+        through the descriptor's ``_at``."""
+        entry = self._descriptor._at(p)
+        if isinstance(entry, StarType):
             return STAR
-        for k in range(cap + 1):
-            if self.operation_vanishes(p, p**k):
-                return k
-        raise FingerprintCapError(
-            f"fingerprint at {p} did not stabilize within cap {cap}"
-        )
+        # The probe at p^low fails (low = -1: none made yet); gallop until
+        # the probe at p^high vanishes, then bisect between the two.
+        low, high = -1, 0
+        while not _divides(p, entry, p**high):
+            if high == cap:
+                raise FingerprintCapError(
+                    f"fingerprint at {p} did not stabilize within cap {cap}"
+                )
+            low, high = high, min(2 * high + 1, cap)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if _divides(p, entry, p**mid):
+                high = mid
+            else:
+                low = mid
+        return high
 
     def classify(self, cap: int = DEFAULT_FINGERPRINT_CAP) -> PostnikovGenusDescriptor:
         """Rebuild the descriptor from fingerprints alone.
 
         Probes every exceptional prime plus the smallest unexceptional one
-        (which reveals the default). The sign action on the classifying
-        data is trivial, so no further quotient is taken.
+        (which reveals the default), each prime proven once: the support at
+        construction, the other by ``_smallest_prime_outside``. The sign
+        action on the classifying data is trivial, so no further quotient
+        is taken.
         """
-        support = set(self._descriptor.support)
-        default = self.fingerprint(_smallest_prime_outside(support), cap)
-        entries = {p: self.fingerprint(p, cap) for p in support}
-        return PostnikovGenusDescriptor(self.dimension, default, entries)
+        _require_cap(cap)
+        support = self._descriptor._exceptions
+        default = self._fingerprint(_smallest_prime_outside(support), cap)
+        fingerprints = ((p, self._fingerprint(p, cap)) for p in support)
+        entries = {p: entry for p, entry in fingerprints if entry != default}
+        return PostnikovGenusDescriptor._of(self.dimension, default, entries)
 
     def restrict_to_prime(self, p: int) -> "FakeSphereModel":
         """The single-prime model carrying this model's invariant at p."""
@@ -288,7 +336,7 @@ class FakeSphereModel(_Value):
         return f"FakeSphereModel({self._descriptor!r})"
 
 
-def _smallest_prime_outside(support: set[int]) -> int:
+def _smallest_prime_outside(support: Mapping[int, object]) -> int:
     p = 2
     while p in support or not is_prime(p):
         p += 1
@@ -318,11 +366,12 @@ def assemble_global(dimension: int, descriptor: PostnikovGenusDescriptor) -> Fak
     descriptor's entry there; the all-zero descriptor models the standard
     sphere.
     """
+    model = FakeSphereModel(descriptor)
     if descriptor.dimension != dimension:
         raise DomainError(
             f"descriptor dimension {descriptor.dimension} does not match {dimension}"
         )
-    return FakeSphereModel(descriptor)
+    return model
 
 
 def classifying_map_class(dimension: int, p: int, z: PAdicApprox) -> NatPlus:
@@ -349,7 +398,7 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     on the (2n+1)-sphere cover, so the covering fake sphere carries the
     entry n*k at p. Distinct exponent sequences give distinct classes.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"complex dimension must be a positive integer, got {n!r}")
     entries: dict[int, int] = {}
     for p, k in degree_exponents.items():
@@ -364,6 +413,8 @@ def _postnikov_choices(dimension: int, prime_bound: int, entry_bound: int) -> li
     of which takes 0 (the default), 1..entry_bound or the base point.
     Raises before anything is built."""
     _require_odd_dimension(dimension)
+    _require_int("prime bound", prime_bound)
+    _require_int("entry bound", entry_bound)
     if prime_bound < 2:
         raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
     if entry_bound < 0:

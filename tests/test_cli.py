@@ -595,6 +595,11 @@ PADIC_VALUES = [
     "3_0", "+3", "\u0663", "abc", "9" * 5000, "98765432109876543210",
 ]
 PADIC_PRECISIONS = ["1", "4", "32", "0", "70000"]
+#: Entries up to and past the default cap of 64, a default past it too,
+#: each at a prime of its own dimension.
+FINGERPRINT_ENTRIES = [*map(str, range(71)), "99", "*"]
+FINGERPRINT_DEFAULTS = ["0", "1", "2", "*", "65"]
+FINGERPRINT_PLACES = [("3", 2), ("5", 3), ("9", 97)]
 
 GOLDEN_GRIDS = {
     "verdict": [
@@ -606,6 +611,12 @@ GOLDEN_GRIDS = {
         for prime in PADIC_PRIMES for value in PADIC_VALUES
         for precision in PADIC_PRECISIONS for flag in ([], ["--json"])
     ],
+    "genus postnikov fingerprint": [
+        ["genus", "postnikov", "fingerprint", f"{{default:{default}, {p}:{entry}}}",
+         "--dim", dim, *flag]
+        for dim, p in FINGERPRINT_PLACES for default in FINGERPRINT_DEFAULTS
+        for entry in FINGERPRINT_ENTRIES for flag in ([], ["--json"])
+    ],
 }
 
 
@@ -614,13 +625,16 @@ GOLDEN_GRIDS = {
     [
         ("verdict", "bca506f63bc06ec1da1751da635d32349d0e4acb8b4d1bbe491ca4bd121f44f3"),
         ("padic class", "e57167c94549f7ff697d0ea68834655432f993068ea9691aa37c4fca2e50f0bd"),
+        ("genus postnikov fingerprint",
+         "dbe8dd4b9b18ee6c4ecf92c5f50a9402ce5e3c17b052269f2210d5a04f6ffa23"),
     ],
-    ids=["verdict", "padic class"],
+    ids=["verdict", "padic class", "genus postnikov fingerprint"],
 )
 def test_golden_outputs(capsys, grid, digest):
     """The exit code, stdout and stderr of every argv of the grid, hashed.
     The digests were taken from the implementation that wrote the verdict
-    rules once per functor and read ``zero`` through ``PAdicApprox.zero``."""
+    rules once per functor, read ``zero`` through ``PAdicApprox.zero`` and
+    searched fingerprints linearly, one public probe per exponent."""
     hasher = hashlib.sha256()
     for argv in GOLDEN_GRIDS[grid]:
         code, out, err = run_cli(capsys, *argv)

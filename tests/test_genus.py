@@ -11,6 +11,7 @@ from locgenus import (
     DomainError,
     EnumerationLimitError,
     FactorBoundError,
+    FakeSphereModel,
     FingerprintCapError,
     FiniteComplexDescriptor,
     HeightSequence,
@@ -31,6 +32,8 @@ from locgenus import (
     cp_fake_descriptor,
     enumerate_postnikov_genus,
     finite_complex_genus_verdict,
+    genus,
+    iter_postnikov_genus,
     type_of,
 )
 
@@ -304,6 +307,136 @@ class TestFingerprint:
         assert assemble_global(7, descriptor).classify() == descriptor
 
 
+def linear_fingerprint(model, p, cap):
+    """The least k <= cap whose public probe vanishes, or None for a refusal."""
+    if model.vanishes_identically(p):
+        return STAR
+    for k in range(cap + 1):
+        if model.operation_vanishes(p, p**k):
+            return k
+    return None
+
+
+def ceil_log2(n):
+    return (n - 1).bit_length()
+
+
+def count_probes(monkeypatch):
+    """Record the multiple of every probe the fingerprint search makes."""
+    probes = []
+    divides = genus._divides
+
+    def probe(p, entry, m):
+        probes.append(m)
+        return divides(p, entry, m)
+
+    monkeypatch.setattr(genus, "_divides", probe)
+    return probes
+
+
+@given(
+    st.sampled_from([2, 3, 5, 97]),
+    st.integers(0, 70),
+    st.data(),
+)
+def test_galloping_fingerprint_matches_the_linear_search(p, cap, data):
+    entry = data.draw(st.one_of(st.integers(0, cap + 5), st.just(STAR)))
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {p: entry}))
+    expected = linear_fingerprint(model, p, cap)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        probes = count_probes(monkeypatch)
+        if expected is None:
+            with pytest.raises(FingerprintCapError, match=f"at {p} .* cap {cap}$"):
+                model.fingerprint(p, cap)
+        else:
+            assert model.fingerprint(p, cap) == expected
+    if expected is None:
+        assert len(probes) <= ceil_log2(cap + 1) + 1
+        assert max(probes) == p**cap
+    elif expected != STAR:
+        assert len(probes) <= 2 * ceil_log2(expected + 1) + 1
+        assert max(probes) <= p ** min(cap, 2 * expected + 1)
+
+
+@given(
+    st.integers(0, 70),
+    st.one_of(st.integers(0, 72), st.just(STAR)),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.one_of(st.integers(0, 72), st.just(STAR))),
+)
+def test_classify_matches_the_linear_search(cap, default, entries):
+    descriptor = PostnikovGenusDescriptor(5, default, entries)
+    model = FakeSphereModel(descriptor)
+    # The default is read at the smallest prime off the support, then the
+    # support in ascending order; the first refusal is the one raised.
+    first = next(p for p in (2, 3, 5, 7, 11, 13) if p not in descriptor.support)
+    for p in (first, *descriptor.support):
+        if linear_fingerprint(model, p, cap) is None:
+            with pytest.raises(FingerprintCapError, match=f"at {p} "):
+                model.classify(cap)
+            return
+    assert model.classify(cap) == descriptor
+
+
+def test_classify_proves_each_prime_once(monkeypatch):
+    calls = []
+    is_prime = genus.is_prime
+    monkeypatch.setattr(genus, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 40, 3: 7, 5: STAR}))
+    assert model.classify() == model.descriptor
+    # Only the search for the prime that reveals the default tests numbers,
+    # each once; the support was proven when the descriptor was built.
+    assert calls == [4, 6, 7]
+
+
+def test_huge_cap_answers_at_once(monkeypatch):
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 5}))
+    probes = count_probes(monkeypatch)
+    assert model.fingerprint(2, cap=10**18) == 5
+    assert probes == [1, 2, 8, 128, 32, 16]
+
+
+@pytest.mark.parametrize("cap", [-1, True, False, 1.5, None, "3", Fraction(3)])
+def test_bad_caps_are_refused_before_any_probe(monkeypatch, cap):
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 70}))
+    probes = count_probes(monkeypatch)
+    for call in (
+        lambda: model.fingerprint(3, cap),
+        lambda: model.fingerprint(3, cap=cap),
+        lambda: model.classify(cap),
+        lambda: classify_postnikov_genus(model, cap),
+    ):
+        with pytest.raises(DomainError, match="fingerprint cap"):
+            call()
+    assert probes == []
+
+
+def test_a_cap_of_zero_is_valid():
+    model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 1}))
+    assert model.fingerprint(3, cap=0) == 0
+    with pytest.raises(FingerprintCapError):
+        model.fingerprint(2, cap=0)
+
+
+@pytest.mark.parametrize("m", [1.5, Fraction(1, 2), Fraction(4), "4", None, True])
+def test_operation_vanishes_refuses_a_non_integer_multiple(m):
+    model = build_fake_sphere(3, 2, 1)
+    with pytest.raises(DomainError, match="multiple m"):
+        model.operation_vanishes(2, m)
+
+
+def test_operation_vanishes_still_proves_its_prime():
+    with pytest.raises(DomainError, match="4 is not prime"):
+        build_fake_sphere(3, 2, 1).operation_vanishes(4, 8)
+
+
+@pytest.mark.parametrize("descriptor", [5, None, "{default:0}", HeightSequence(0)])
+def test_a_model_needs_a_descriptor(descriptor):
+    with pytest.raises(DomainError, match="descriptor must be"):
+        assemble_global(3, descriptor)
+    with pytest.raises(DomainError, match="descriptor must be"):
+        FakeSphereModel(descriptor)
+
+
 class TestClassifyingMapClass:
     def test_valuation_class(self):
         assert classifying_map_class(3, 2, PAdicApprox.from_int(12, 2)) == 2
@@ -357,6 +490,11 @@ class TestCpDescriptors:
         with pytest.raises(DomainError):
             cp_fake_descriptor(2, {2: -1})
 
+    @pytest.mark.parametrize("n", [True, 1.0, None])
+    def test_complex_dimension_is_an_integer(self, n):
+        with pytest.raises(DomainError, match="complex dimension"):
+            cp_fake_descriptor(n, {2: 1})
+
 
 class TestEnumerate:
     def test_smallest_case(self):
@@ -392,6 +530,21 @@ class TestEnumerate:
             enumerate_postnikov_genus(3, 1, 2)
         with pytest.raises(DomainError):
             enumerate_postnikov_genus(3, 5, -1)
+
+    @pytest.mark.parametrize(
+        "bounds, name",
+        [
+            ((2.5, 1), "prime bound"), ((3, 2.5), "entry bound"), ((True, 1), "prime bound"),
+            ((3, True), "entry bound"), ((3, False), "entry bound"), ((None, 1), "prime bound"),
+            ((3, "1"), "entry bound"), ((Fraction(3), 1), "prime bound"),
+        ],
+    )
+    def test_bounds_must_be_integers(self, bounds, name):
+        for enumerate_ in (iter_postnikov_genus, enumerate_postnikov_genus):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                enumerate_(3, *bounds)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            genus._postnikov_genus_blocks(3, *bounds, "\n")
 
 
 class TestFiniteComplexCatalogue:
