@@ -187,6 +187,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_int(name: str, value: object) -> None:
+    """Refuse anything but an int, bools included, before it is used."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -198,6 +204,7 @@ def primes_up_to(bound: int) -> list[int]:
     >>> primes_up_to(10)
     [2, 3, 5, 7]
     """
+    _require_int("prime bound", bound)
     if bound < 2:
         raise DomainError(f"prime bound must be at least 2, got {bound}")
     sieve = bytearray([1]) * (bound + 1)
@@ -231,6 +238,7 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
     """
+    _require_int("n", n)
     if n == 0:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
@@ -296,6 +304,7 @@ class PAdicApprox(_Record):
     def __init__(self, prime: int, precision=DEFAULT_PRECISION, residue=0, exactly_zero=False):
         _require_prime(prime)
         _require_precision(prime, precision)
+        _require_int("residue", residue)
         if not 0 <= residue < prime**precision:
             raise DomainError(f"residue {residue} outside [0, {prime}^{precision})")
         if exactly_zero and residue != 0:
@@ -316,6 +325,7 @@ class PAdicApprox(_Record):
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PAdicApprox":
         """Image of an ordinary integer, flagged exact when n = 0."""
+        _require_int("n", n)
         _require_prime(prime)
         _require_precision(prime, precision)
         return cls._of(prime, precision, n % prime**precision, n == 0)
@@ -332,8 +342,7 @@ class PAdicApprox(_Record):
 
 def _require_precision(prime: int, precision: int) -> None:
     """Check a precision before any power prime**precision is built."""
-    if not isinstance(precision, int) or isinstance(precision, bool):
-        raise DomainError(f"precision must be an integer, got {precision!r}")
+    _require_int("precision", precision)
     if precision < 1:
         raise DomainError(f"precision must be positive, got {precision}")
     if precision * prime.bit_length() > PRECISION_BIT_LIMIT:

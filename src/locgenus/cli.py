@@ -10,9 +10,9 @@ Whitespace between tokens is ignored; the printed canonical form puts one
 space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte.
 
-The commands are described once, as data, in ``_COMMANDS``; the argparse
-tree is built from it on first use and kept for the process. A leaf parser
-parses a command directly; the tree speaks only for errors and help.
+The commands are described once, as data, in ``_COMMANDS``. Each has its
+own leaf parser, built on first use, which never prints; the argparse tree
+copies them, and is built only where argparse must print or no leaf fits.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard
 (each error class carries its ``exit_code``), 141 when the reader closes
@@ -23,7 +23,6 @@ stdout before the output ends. Errors are reported on stderr as a single
 from __future__ import annotations
 
 import argparse
-import contextvars
 import functools
 import itertools
 import json
@@ -339,46 +338,51 @@ _COMMANDS = (
 #: The namespace attribute that records the command word at each depth.
 _DESTS = ("command", "subcommand", "subsubcommand")
 
+#: Each command's ``_COMMANDS`` entry, by its words.
+_ENTRIES = {tuple(entry[0].split()): entry for entry in _COMMANDS}
 
-#: Set while ``main`` parses a command with its leaf parser alone.
-_LEAF_FIRST = contextvars.ContextVar("leaf_first", default=False)
+_JSON_HELP = "emit one JSON object"
 
 
 class _Declined(Exception):
     """A leaf parser would print; the tree must parse the command."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser of the tree; under ``_LEAF_FIRST`` it declines to print. The
-    tree must print: its root classifies every word, so ``--=x`` after the
-    command words is the root's "ambiguous option" error, which a leaf would
-    print with its own usage (68 of the 6,000 pinned ``argv_corpus`` outputs)."""
+class _Leaf(argparse.ArgumentParser):
+    """One command's own parser; where argparse would print, it declines.
+    Only the tree prints: its root classifies every word, so ``--=x`` after
+    the command words is the root's "ambiguous option" error, which a leaf
+    would print with its own usage (68 of the 6,000 pinned ``argv_corpus``
+    outputs)."""
 
-    def print_help(self, file=None):
-        if _LEAF_FIRST.get():
-            raise _Declined
-        super().print_help(file)
+    def error(self, message=None):
+        raise _Declined
 
-    def error(self, message):
-        if _LEAF_FIRST.get():
-            raise _Declined
-        super().error(message)
+    print_help = error
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The argparse tree of ``_COMMANDS``, built once per process; its
-    ``leaves`` map each command's words to the command's leaf parser."""
+def _leaf(words: tuple[str, ...]) -> _Leaf:
+    """The parser of the command named by words, built on first use. Its
+    --json has no default, so a command not given the flag keeps the value
+    seeded by the words before it or by the root."""
+    _, _, arguments, handler = _ENTRIES[words]
+    leaf = _Leaf()  # with -h, so it reads '-h x' as an option, as the tree does
+    leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=_JSON_HELP)
+    for argument, options in arguments:
+        leaf.add_argument(argument, **options)
+    leaf.set_defaults(handler=handler)
+    return leaf
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``_COMMANDS``, built once per process where
+    argparse must print or the words name no leaf. Each of its leaves copies
+    the command's leaf parser, help option included."""
     description = "Exact classification of localization-genus data"
-    root = _Parser(prog="locgenus", description=description)
-    root.leaves = {}
-    # Each leaf takes --json from this parent, with no default, so a leaf
-    # that is not given the flag keeps the root's value: the flag may come
-    # before the command words or after them.
-    flag = argparse.ArgumentParser(add_help=False)
-    for node, default in ((root, False), (flag, argparse.SUPPRESS)):
-        node.add_argument("--json", action="store_true", default=default,
-                          help="emit one JSON object")
+    root = argparse.ArgumentParser(prog="locgenus", description=description)
+    root.add_argument("--json", action="store_true", help=_JSON_HELP)
     # The subparsers action of each group node, by path ("" is the root).
     choices = {}
 
@@ -389,13 +393,9 @@ def _parser() -> _Parser:
             choices[path] = node.add_subparsers(dest=_DESTS[len(path.split())], required=True)
         return choices[path]
 
-    for path, help_text, arguments, handler in _COMMANDS:
+    for words, (path, help_text, _, _) in _ENTRIES.items():
         parent, _, name = path.rpartition(" ")
-        leaf = group(parent).add_parser(name, help=help_text, parents=[flag])
-        for argument, options in arguments:
-            leaf.add_argument(argument, **options)
-        leaf.set_defaults(handler=handler)
-        root.leaves[tuple(path.split())] = leaf
+        group(parent).add_parser(name, help=help_text, add_help=False, parents=[_leaf(words)])
     return root
 
 
@@ -403,19 +403,15 @@ def _leaf_first(argv: list[str]) -> argparse.Namespace | None:
     """The namespace the tree would give argv, parsed by the leaf alone; None
     where the tree must parse argv: the words after any leading --json name
     no leaf, or the leaf would print or leave words over."""
-    leaves = _parser().leaves
     rest = list(itertools.dropwhile("--json".__eq__, argv))
-    words = next((w for w in (tuple(rest[:n]) for n in (3, 2, 1)) if w in leaves), None)
+    words = next((w for w in (tuple(rest[:n]) for n in (3, 2, 1)) if w in _ENTRIES), None)
     if words is None:
         return None
     namespace = argparse.Namespace(json=len(rest) < len(argv), **dict(zip(_DESTS, words)))
-    token = _LEAF_FIRST.set(True)
     try:
-        namespace, left = leaves[words].parse_known_args(rest[len(words):], namespace)
+        namespace, left = _leaf(words).parse_known_args(rest[len(words):], namespace)
     except _Declined:
         return None
-    finally:
-        _LEAF_FIRST.reset(token)
     return None if left else namespace
 
 

@@ -37,6 +37,7 @@ from .arith import (
     _Record,
     _Value,
     _decimal,
+    _require_int,
     _require_prime,
     is_nat_plus,
     is_prime,
@@ -57,12 +58,6 @@ ENUMERATION_LIMIT = 10**6
 def _require_odd_dimension(n: int) -> None:
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
-
-
-def _require_int(name: str, value: object) -> None:
-    """Refuse anything but an int, bools included, before it is used."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_cap(cap: int) -> None:
@@ -346,6 +341,8 @@ def _smallest_prime_outside(support: Mapping[int, object]) -> int:
 def classify_postnikov_genus(
     model: FakeSphereModel, cap: int = DEFAULT_FINGERPRINT_CAP
 ) -> PostnikovGenusDescriptor:
+    if not isinstance(model, FakeSphereModel):
+        raise DomainError(f"model must be a FakeSphereModel, got {model!r}")
     return model.classify(cap)
 
 
@@ -383,6 +380,8 @@ def classifying_map_class(dimension: int, p: int, z: PAdicApprox) -> NatPlus:
     class.
     """
     _require_odd_dimension(dimension)
+    if not isinstance(z, PAdicApprox):
+        raise DomainError(f"p-adic parameter must be a PAdicApprox, got {z!r}")
     if z.prime != p:
         raise DomainError(f"p-adic parameter lives at {z.prime}, not {p}")
     decomposition = padic_decompose(z)
@@ -400,6 +399,8 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"complex dimension must be a positive integer, got {n!r}")
+    if not isinstance(degree_exponents, Mapping):
+        raise DomainError(f"degree exponents must be a mapping, got {degree_exponents!r}")
     entries: dict[int, int] = {}
     for p, k in degree_exponents.items():
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -536,7 +537,7 @@ class PostnikovSection(_Record):
     __slots__ = ("level",)
 
     def __init__(self, level: int):
-        if not isinstance(level, int) or level < 1:
+        if not isinstance(level, int) or isinstance(level, bool) or level < 1:
             raise DomainError(f"Postnikov level must be >= 1, got {level}")
         self._set(level)
 

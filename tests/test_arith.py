@@ -259,8 +259,18 @@ class TestSentinels:
         lambda: TorsionShape({7.5}),
         lambda: PAdicApprox(2, 1.5, 1),
         lambda: ConnectingHom(HeightSequence(0), twists={2: (1.5, 3)}),
+        lambda: factorize(7.5),
+        lambda: factorize(True),
+        lambda: primes_up_to(7.5),
+        lambda: primes_up_to(True),
+        lambda: PAdicApprox(2, 3, 1.5),
+        lambda: PAdicApprox.from_int(1.5, 2),
     ],
-    ids=["is_prime-float", "is_prime-bool", "height-key", "torsion-key", "precision", "twist"],
+    ids=[
+        "is_prime-float", "is_prime-bool", "height-key", "torsion-key", "precision", "twist",
+        "factorize-float", "factorize-bool", "primes_up_to-float", "primes_up_to-bool",
+        "residue", "from_int",
+    ],
 )
 def test_non_integers_are_refused(build):
     with pytest.raises(DomainError):

@@ -13,7 +13,8 @@ from locgenus import (
     INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, arith, errors,
 )
 from locgenus.cli import (
-    _COMMANDS, _leaf_first, _parser, main, parse_degree_exponents, parse_descriptor, parse_heights,
+    _COMMANDS, _leaf, _leaf_first, _parser, main, parse_degree_exponents, parse_descriptor,
+    parse_heights,
 )
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
@@ -345,7 +346,10 @@ class TestDeterminism:
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
-    main(["padic", "class", "2", "12"])
+    """A command's leaf parser and the tree are each built on first use and
+    then kept: a second pass over the same argv builds no parser."""
+    _leaf.cache_clear()
+    _parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -354,10 +358,16 @@ def test_parser_is_built_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (["type", "canon", "{default:0}"], ["genus", "--json"], ["verdict", "--help"]):
+    argvs = (["type", "canon", "{default:0}"], ["genus", "--json"], ["verdict", "--help"])
+    for argv in argvs:
+        main(argv)
+    assert built != []
+    built.clear()
+    for argv in argvs:
         main(argv)
     capsys.readouterr()
     assert built == []
+    assert (_leaf.cache_info().misses, _parser.cache_info().misses) == (len(_COMMANDS), 1)
 
 
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
@@ -408,6 +418,16 @@ README_COMMANDS = [
     ["padic", "class", "2", "zero"],
     ["verdict", "S2xS5", "--functor", "postnikov:2"],
 ]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS)
+def test_a_valid_command_builds_no_tree(capsys, argv):
+    _leaf.cache_clear()
+    _parser.cache_clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _parser.cache_info().currsize == 0
+    assert _leaf.cache_info().currsize == 1
 
 
 def test_only_errors_and_help_reach_the_tree(capsys, monkeypatch):
@@ -521,6 +541,15 @@ def test_leaf_first_parse_matches_the_tree(capsys):
             answered += 1
             assert vars(namespace) == vars(_parser().parse_args(argv)), argv
     assert answered > 1500
+
+
+@pytest.mark.parametrize("word", ["-h x", "-hx y"])
+def test_a_leaf_reads_help_lookalikes_as_the_tree_does(capsys, word):
+    """A leaf parser keeps -h: without it, a value such as '-h x' would parse
+    as a positional, where the tree refuses it as an explicit argument."""
+    assert _leaf_first(["type", "canon", word]) is None
+    code, out, err = run_cli(capsys, "type", "canon", word)
+    assert (code, out) == (2, "") and "ignored explicit argument" in err
 
 
 @pytest.mark.skipif(

@@ -437,6 +437,20 @@ def test_a_model_needs_a_descriptor(descriptor):
         FakeSphereModel(descriptor)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: classify_postnikov_genus(5), "model"),
+        (lambda: classifying_map_class(3, 2, 5), "p-adic parameter"),
+        (lambda: cp_fake_descriptor(2, [1]), "degree exponents"),
+    ],
+    ids=["classify-int", "classifying-map-int", "cp-list"],
+)
+def test_entry_points_refuse_arguments_of_the_wrong_type(call, name):
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        call()
+
+
 class TestClassifyingMapClass:
     def test_valuation_class(self):
         assert classifying_map_class(3, 2, PAdicApprox.from_int(12, 2)) == 2
