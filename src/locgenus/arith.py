@@ -151,18 +151,46 @@ def _decimal(text: str) -> int | None:
         return None
 
 
+# One checker per kind of argument (a flag is an instance of bool), called
+# where an argument enters the library: each hands it back or raises DomainError.
+
+
+def _is_int(value: object) -> bool:
+    """An integer is an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value: object) -> int:
+    # An exact int skips the call: is_prime runs this on every prime it proves.
+    if type(value) is int or _is_int(value):
+        return value
+    raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _require_rational(name: str, value: object) -> Fraction:
+    """A rational is a Fraction, handed back as it is, or an int, made one;
+    a string is refused before ``Fraction`` could parse it."""
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise DomainError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
+
+
+def _require_instance(name: str, value: object, cls: type):
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def is_height(value: object) -> bool:
     """True iff value is a legal height entry (int >= 0 or INFINITY)."""
-    if isinstance(value, InfinityType):
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, InfinityType) or (_is_int(value) and value >= 0)
 
 
 def is_nat_plus(value: object) -> bool:
     """True iff value is a legal pointed natural (int >= 0 or STAR)."""
-    if isinstance(value, StarType):
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, StarType) or (_is_int(value) and value >= 0)
 
 
 def is_prime(n: int) -> bool:
@@ -171,9 +199,7 @@ def is_prime(n: int) -> bool:
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"primality is defined for integers, got {n!r}")
-    if n < 2:
+    if _require_int("primality candidate", n) < 2:
         return False
     if n < 4:
         return True
@@ -187,12 +213,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_int(name: str, value: object) -> None:
-    """Refuse anything but an int, bools included, before it is used."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -204,8 +224,7 @@ def primes_up_to(bound: int) -> list[int]:
     >>> primes_up_to(10)
     [2, 3, 5, 7]
     """
-    _require_int("prime bound", bound)
-    if bound < 2:
+    if _require_int("prime bound", bound) < 2:
         raise DomainError(f"prime bound must be at least 2, got {bound}")
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
@@ -238,8 +257,8 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
     """
-    _require_int("n", n)
-    if n == 0:
+    _require_int("prime bound", prime_bound)
+    if _require_int("n", n) == 0:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
@@ -275,7 +294,7 @@ def valuation(q: Fraction | int, p: int) -> int | InfinityType:
     -3
     """
     _require_prime(p)
-    q = Fraction(q)
+    q = _require_rational("rational", q)
     if q == 0:
         return INFINITY
     return _split(q.numerator, p)[0] - _split(q.denominator, p)[0]
@@ -289,7 +308,7 @@ def mod_one(q: Fraction | int) -> Fraction:
     >>> mod_one(Fraction(-1, 3))
     Fraction(2, 3)
     """
-    return Fraction(q) % 1
+    return _require_rational("rational", q) % 1
 
 
 class PAdicApprox(_Record):
@@ -304,10 +323,9 @@ class PAdicApprox(_Record):
     def __init__(self, prime: int, precision=DEFAULT_PRECISION, residue=0, exactly_zero=False):
         _require_prime(prime)
         _require_precision(prime, precision)
-        _require_int("residue", residue)
-        if not 0 <= residue < prime**precision:
+        if not 0 <= _require_int("residue", residue) < prime**precision:
             raise DomainError(f"residue {residue} outside [0, {prime}^{precision})")
-        if exactly_zero and residue != 0:
+        if _require_instance("exactly_zero", exactly_zero, bool) and residue != 0:
             raise DomainError("an exact zero must have residue 0")
         self._set(prime, precision, residue, exactly_zero)
 
@@ -342,8 +360,7 @@ class PAdicApprox(_Record):
 
 def _require_precision(prime: int, precision: int) -> None:
     """Check a precision before any power prime**precision is built."""
-    _require_int("precision", precision)
-    if precision < 1:
+    if _require_int("precision", precision) < 1:
         raise DomainError(f"precision must be positive, got {precision}")
     if precision * prime.bit_length() > PRECISION_BIT_LIMIT:
         raise ResourceError(
@@ -361,7 +378,7 @@ def padic_decompose(z: PAdicApprox) -> tuple[int, PAdicApprox] | StarType:
     >>> padic_decompose(PAdicApprox(2, 8, 12))
     (2, PAdicApprox(prime=2, precision=6, residue=3, exactly_zero=False))
     """
-    if z.exactly_zero:
+    if _require_instance("p-adic integer", z, PAdicApprox).exactly_zero:
         return STAR
     if z.residue == 0:
         raise PrecisionError(
@@ -394,6 +411,9 @@ class PrimeMap(_Value):
         is_value = self._is_value
         if not is_value(default):
             raise DomainError(f"{self._label} default must be {self._domain}")
+        # A dict is a Mapping: it skips the slower check through the ABC.
+        if exceptions is not None and not isinstance(exceptions, dict):
+            _require_instance(f"{self._label} exceptions", exceptions, Mapping)
         cleaned = {}
         for p, value in sorted((exceptions or {}).items()):
             if not is_prime(p):

@@ -29,8 +29,11 @@ from .arith import (
     InfinityType,
     PrimeMap,
     _Value,
+    _require_instance,
+    _require_int,
     _require_precision,
     _require_prime,
+    _require_rational,
     _split,
     factorize,
     mod_one,
@@ -51,7 +54,7 @@ def p_primary_parts(
     >>> p_primary_parts(Fraction(5, 6))
     {2: Fraction(1, 2), 3: Fraction(1, 3)}
     """
-    q = Fraction(q)
+    q = _require_rational("rational", q)
     return {p: _part(q, p**e) for p, e in factorize(q.denominator, prime_bound).items()}
 
 
@@ -70,7 +73,7 @@ class QmodZElement(_Value):
     __slots__ = ("_value",)
 
     def __init__(self, value: Fraction | int = 0):
-        self._value = mod_one(Fraction(value))
+        self._value = mod_one(value)
 
     @property
     def value(self) -> Fraction:
@@ -106,11 +109,16 @@ class QmodZElement(_Value):
 def _validated_twists(
     twists: Mapping[int, tuple[int, int]] | None, kernel_heights: HeightSequence
 ) -> dict[int, tuple[int, int]]:
+    if twists is None:
+        return {}
     cleaned: dict[int, tuple[int, int]] = {}
-    for p, (mod_exp, unit) in sorted((twists or {}).items()):
+    for p, twist in sorted(_require_instance("twists", twists, Mapping).items()):
         _require_prime(p)
+        if not (isinstance(twist, tuple) and len(twist) == 2):
+            raise DomainError(f"twist at {p} must be a pair (mod_exp, unit)")
+        mod_exp, unit = twist
         _require_precision(p, mod_exp)
-        unit %= p**mod_exp
+        unit = _require_int("twist unit", unit) % p**mod_exp
         if unit % p == 0:
             raise DomainError(f"twist residue at {p} is not a unit mod {p}^{mod_exp}")
         # Residue 1 is the identity, and evaluation never reads a twist
@@ -141,10 +149,10 @@ class ConnectingHom(_Value):
         precompose: Fraction | int = 1,
         twists: Mapping[int, tuple[int, int]] | None = None,
     ):
-        precompose = Fraction(precompose)
+        precompose = _require_rational("precompose", precompose)
         if precompose == 0:
             raise DomainError("precompose must be a nonzero rational")
-        self._kernel_heights = kernel_heights
+        self._kernel_heights = _require_instance("kernel heights", kernel_heights, HeightSequence)
         self._precompose = precompose
         self._twists = _validated_twists(twists, kernel_heights)
 
@@ -171,7 +179,8 @@ class ConnectingHom(_Value):
         >>> ConnectingHom(HeightSequence(0, {2: 1})).evaluate(Fraction(1, 4))
         QmodZElement(Fraction(1, 2))
         """
-        r = self._precompose * Fraction(q)
+        r = self._precompose * _require_rational("rational", q)
+        _require_int("prime bound", prime_bound)
         heights = self._kernel_heights
         factors, rest = _split_over(
             r.denominator, heights, heights._exceptions.keys() | self._twists.keys(), prime_bound
@@ -229,13 +238,14 @@ class ConnectingHom(_Value):
     def with_twist(self, p: int, mod_exp: int, unit: int) -> "ConnectingHom":
         """A copy with the twist at p replaced by (mod_exp, unit)."""
         twists = self.twists
-        twists[p] = (mod_exp, unit)
+        # Checked before it keys the copy: Fraction(3) would replace the twist at 3.
+        twists[_require_int("prime", p)] = (mod_exp, unit)
         return ConnectingHom(self._kernel_heights, self._precompose, twists)
 
     def precomposed_by(self, r: Fraction | int) -> "ConnectingHom":
         """A copy pre-composed with multiplication by a nonzero rational."""
         return ConnectingHom(
-            self._kernel_heights, self._precompose * Fraction(r), self._twists
+            self._kernel_heights, self._precompose * _require_rational("rational", r), self._twists
         )
 
     def _key(self) -> tuple:
@@ -263,4 +273,4 @@ class ConnectingHom(_Value):
 
 def beta(group: RankOneGroup) -> ConnectingHom:
     """The standard homomorphism whose kernel is the given group."""
-    return ConnectingHom(group.heights)
+    return ConnectingHom(_require_instance("group", group, RankOneGroup).heights)

@@ -37,6 +37,8 @@ from .arith import (
     _Record,
     _Value,
     _decimal,
+    _is_int,
+    _require_instance,
     _require_int,
     _require_prime,
     is_nat_plus,
@@ -56,13 +58,8 @@ ENUMERATION_LIMIT = 10**6
 
 
 def _require_odd_dimension(n: int) -> None:
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
+    if _require_int("dimension", n) < 3 or n % 2 == 0:
         raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
-
-
-def _require_cap(cap: int) -> None:
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-        raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
 
 
 def _divides(p: int, entry: NatPlus, m: int) -> bool:
@@ -90,12 +87,12 @@ class TorsionShape(PrimeMap):
     """
 
     __slots__ = ()
-    _is_value = staticmethod(lambda value: isinstance(value, bool))
+    _is_value = staticmethod(lambda value: type(value) is bool)
     _label = "torsion"
     _domain = "true or false"
 
     def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
-        complement = bool(complement)
+        _require_instance("primes", primes, Iterable)
         PrimeMap.__init__(self, complement, dict.fromkeys(primes, not complement))
 
     @classmethod
@@ -144,7 +141,7 @@ class RationalGenusElement(_Record):
 
     def __init__(self, dimension: int, hom: ConnectingHom):
         _require_odd_dimension(dimension)
-        self._set(dimension, hom)
+        self._set(dimension, _require_instance("hom", hom, ConnectingHom))
 
     def homotopy_groups(self) -> tuple[TypeClass, TorsionShape]:
         """The two variable homotopy groups, as (type in degree n, torsion
@@ -235,9 +232,7 @@ class FakeSphereModel(_Value):
     __slots__ = ("_descriptor",)
 
     def __init__(self, descriptor: PostnikovGenusDescriptor):
-        if not isinstance(descriptor, PostnikovGenusDescriptor):
-            raise DomainError(f"descriptor must be a PostnikovGenusDescriptor, got {descriptor!r}")
-        self._descriptor = descriptor
+        self._descriptor = _require_instance("descriptor", descriptor, PostnikovGenusDescriptor)
 
     @property
     def descriptor(self) -> PostnikovGenusDescriptor:
@@ -255,8 +250,7 @@ class FakeSphereModel(_Value):
         zero.
         """
         entry = self._descriptor.entry_at(p)
-        _require_int("multiple m", m)
-        return _divides(p, entry, m)
+        return _divides(p, entry, _require_int("multiple m", m))
 
     def vanishes_identically(self, p: int) -> bool:
         """True iff the operation at p is zero on every multiple of the
@@ -277,7 +271,8 @@ class FakeSphereModel(_Value):
         the search raises exactly when the probe at p^cap does not vanish.
         A cap must be an integer >= 0; p is proven prime once.
         """
-        _require_cap(cap)
+        if _require_int("fingerprint cap", cap) < 0:
+            raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
         _require_prime(p)
         return self._fingerprint(p, cap)
 
@@ -313,7 +308,8 @@ class FakeSphereModel(_Value):
         action on the classifying data is trivial, so no further quotient
         is taken.
         """
-        _require_cap(cap)
+        if _require_int("fingerprint cap", cap) < 0:
+            raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
         support = self._descriptor._exceptions
         default = self._fingerprint(_smallest_prime_outside(support), cap)
         fingerprints = ((p, self._fingerprint(p, cap)) for p in support)
@@ -341,9 +337,7 @@ def _smallest_prime_outside(support: Mapping[int, object]) -> int:
 def classify_postnikov_genus(
     model: FakeSphereModel, cap: int = DEFAULT_FINGERPRINT_CAP
 ) -> PostnikovGenusDescriptor:
-    if not isinstance(model, FakeSphereModel):
-        raise DomainError(f"model must be a FakeSphereModel, got {model!r}")
-    return model.classify(cap)
+    return _require_instance("model", model, FakeSphereModel).classify(cap)
 
 
 def build_fake_sphere(dimension: int, p: int, k: NatPlus) -> FakeSphereModel:
@@ -364,7 +358,7 @@ def assemble_global(dimension: int, descriptor: PostnikovGenusDescriptor) -> Fak
     sphere.
     """
     model = FakeSphereModel(descriptor)
-    if descriptor.dimension != dimension:
+    if descriptor.dimension != _require_int("dimension", dimension):
         raise DomainError(
             f"descriptor dimension {descriptor.dimension} does not match {dimension}"
         )
@@ -380,9 +374,7 @@ def classifying_map_class(dimension: int, p: int, z: PAdicApprox) -> NatPlus:
     class.
     """
     _require_odd_dimension(dimension)
-    if not isinstance(z, PAdicApprox):
-        raise DomainError(f"p-adic parameter must be a PAdicApprox, got {z!r}")
-    if z.prime != p:
+    if _require_instance("p-adic parameter", z, PAdicApprox).prime != _require_int("prime", p):
         raise DomainError(f"p-adic parameter lives at {z.prime}, not {p}")
     decomposition = padic_decompose(z)
     if isinstance(decomposition, StarType):
@@ -397,13 +389,11 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     on the (2n+1)-sphere cover, so the covering fake sphere carries the
     entry n*k at p. Distinct exponent sequences give distinct classes.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if _require_int("complex dimension", n) < 1:
         raise DomainError(f"complex dimension must be a positive integer, got {n!r}")
-    if not isinstance(degree_exponents, Mapping):
-        raise DomainError(f"degree exponents must be a mapping, got {degree_exponents!r}")
     entries: dict[int, int] = {}
-    for p, k in degree_exponents.items():
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    for p, k in _require_instance("degree exponents", degree_exponents, Mapping).items():
+        if not (_is_int(k) and k >= 0):
             raise DomainError(f"degree exponent at {p} must be a non-negative integer")
         entries[p] = n * k
     return PostnikovGenusDescriptor(2 * n + 1, 0, entries)
@@ -414,11 +404,9 @@ def _postnikov_choices(dimension: int, prime_bound: int, entry_bound: int) -> li
     of which takes 0 (the default), 1..entry_bound or the base point.
     Raises before anything is built."""
     _require_odd_dimension(dimension)
-    _require_int("prime bound", prime_bound)
-    _require_int("entry bound", entry_bound)
-    if prime_bound < 2:
+    if _require_int("prime bound", prime_bound) < 2:
         raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
-    if entry_bound < 0:
+    if _require_int("entry bound", entry_bound) < 0:
         raise DomainError(f"entry bound must be non-negative, got {entry_bound}")
     # Size the enumeration prime by prime, so an oversized request is
     # refused after a few primes, before anything is allocated.
@@ -537,7 +525,7 @@ class PostnikovSection(_Record):
     __slots__ = ("level",)
 
     def __init__(self, level: int):
-        if not isinstance(level, int) or isinstance(level, bool) or level < 1:
+        if not (_is_int(level) and level >= 1):
             raise DomainError(f"Postnikov level must be >= 1, got {level}")
         self._set(level)
 
@@ -583,6 +571,9 @@ class FiniteComplexDescriptor(_Record):
     __slots__ = ("tag", "pi2_finite", "rational_vanishing_level")
 
     def __init__(self, tag: str, pi2_finite: bool, rational_vanishing_level: int):
+        _require_instance("complex tag", tag, str)
+        _require_instance("pi2_finite", pi2_finite, bool)
+        _require_int("rational vanishing level", rational_vanishing_level)
         self._set(tag, pi2_finite, rational_vanishing_level)
 
     def _key(self) -> str:
@@ -590,7 +581,7 @@ class FiniteComplexDescriptor(_Record):
 
     @classmethod
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
-        text = tag.strip()
+        text = _require_instance("complex tag", tag, str).strip()
         # str.upper maps some non-ASCII letters to ASCII ones (long s to S).
         text = text.upper() if text.isascii() else ""
         if text in _PRODUCT_TAGS:
@@ -625,6 +616,7 @@ def finite_complex_genus_verdict(
     complexes only. When the hypotheses fail, a catalogued counterexample
     is reported if one is known for that (space, level) pair.
     """
+    _require_instance("complex descriptor", complex_descriptor, FiniteComplexDescriptor)
     if isinstance(functor, Neisendorfer):
         witness = None
     elif isinstance(functor, PostnikovSection):

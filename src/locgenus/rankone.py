@@ -27,6 +27,9 @@ from .arith import (
     InfinityType,
     PrimeMap,
     _Value,
+    _require_instance,
+    _require_int,
+    _require_rational,
     _split,
     factorize,
     is_height,
@@ -102,6 +105,8 @@ class TypeClass(PrimeMap):
         infinite_primes: Iterable[int] = (),
         finite_primes: Iterable[int] = (),
     ):
+        _require_instance("infinite primes", infinite_primes, Iterable)
+        _require_instance("finite primes", finite_primes, Iterable)
         cofinite = _is_infinite(default)
         listed, marker = (finite_primes, 0) if cofinite else (infinite_primes, INFINITY)
         PrimeMap.__init__(self, default, dict.fromkeys(listed, marker))
@@ -131,7 +136,7 @@ def type_of(s: HeightSequence) -> TypeClass:
 
     type_of(s) == type_of(t) exactly when similar(s, t).
     """
-    cofinite = _is_infinite(s._default)
+    cofinite = _is_infinite(_require_instance("heights", s, HeightSequence)._default)
     marker = 0 if cofinite else INFINITY
     return TypeClass._of(
         s._default,
@@ -157,7 +162,7 @@ class RankOneGroup(_Value):
     __slots__ = ("_heights",)
 
     def __init__(self, heights: HeightSequence):
-        self._heights = heights
+        self._heights = _require_instance("heights", heights, HeightSequence)
 
     @property
     def heights(self) -> HeightSequence:
@@ -180,8 +185,9 @@ class RankOneGroup(_Value):
         True
         """
         heights = self._heights
+        _require_int("prime bound", prime_bound)
         factors, rest = _split_over(
-            Fraction(q).denominator, heights, heights._exceptions, prime_bound
+            _require_rational("rational", q).denominator, heights, heights._exceptions, prime_bound
         )
         # Every prime of the rest has the default height, 0 or inf.
         return (rest == 1 or _is_infinite(heights._default)) and all(
@@ -204,10 +210,12 @@ class RankOneGroup(_Value):
 
     def intersect(self, other: "RankOneGroup") -> "RankOneGroup":
         """Pointwise minimum of heights: members of both groups."""
+        other = _require_instance("other group", other, RankOneGroup)
         return RankOneGroup(_pointwise(self._heights, other._heights, min))
 
     def join(self, other: "RankOneGroup") -> "RankOneGroup":
         """Pointwise maximum of heights: the subgroup generated by both."""
+        other = _require_instance("other group", other, RankOneGroup)
         return RankOneGroup(_pointwise(self._heights, other._heights, max))
 
     def _key(self) -> HeightSequence:

@@ -254,10 +254,12 @@ class TestTrustedConstructionMatchesValidated:
             assert str(got) == str(built)
 
     @given(prime_sets, st.sampled_from([0, 1, 2, "", "x", None]))
-    def test_truthy_complement_is_a_bool(self, primes, complement):
-        shape = TorsionShape(primes, complement=complement)
-        assert shape == TorsionShape(primes, complement=bool(complement))
-        assert shape.is_cofinite is bool(complement)
+    def test_complement_must_be_a_bool(self, primes, complement):
+        # A flag is a bool: a merely truthy or falsy value is refused, not read.
+        with pytest.raises(DomainError):
+            TorsionShape(primes, complement=complement)
+        for flag in (False, True):
+            assert TorsionShape(primes, complement=flag).is_cofinite is flag
 
 
 class TestTypeAndShapeForms:

@@ -10,7 +10,11 @@ that nothing calls any more. A fourth keeps one equality idiom: only
 ``dataclasses`` (whose generated methods would be a second idiom) or
 ``typing``. A fifth keeps one reader of numbers in text: only
 ``arith._decimal`` calls ``int``, and the CLI builds a ``Fraction`` only
-from two ints.
+from two ints. A sixth keeps one checker per kind of argument: only
+``arith._is_int`` tests for ``bool`` with ``isinstance`` (an integer is
+never a bool), and only ``arith._require_rational`` calls ``Fraction`` on
+one argument that is not a literal (a rational is an int or a Fraction,
+never text that ``Fraction`` would parse).
 """
 
 import ast
@@ -147,3 +151,20 @@ def test_text_becomes_a_number_in_one_place():
         owner for owner, call in calls_of("Fraction", PACKAGE / "cli.py") if len(call.args) != 2
     ]
     assert not one_argument, f"cli.py reads a Fraction from one argument in {one_argument}"
+
+
+def test_each_kind_of_argument_is_checked_in_one_place():
+    bool_tests = sorted(
+        f"{path.name}:{owner}"
+        for path in PACKAGE.glob("*.py")
+        for owner, call in calls_of("isinstance", path)
+        if any(isinstance(node, ast.Name) and node.id == "bool" for node in ast.walk(call.args[1]))
+    )
+    assert bool_tests == ["arith.py:_is_int"]
+    rational_readers = sorted(
+        f"{path.name}:{owner}"
+        for path in PACKAGE.glob("*.py")
+        for owner, call in calls_of("Fraction", path)
+        if len(call.args) == 1 and not isinstance(call.args[0], ast.Constant)
+    )
+    assert rational_readers == ["arith.py:_require_rational"]
