@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import DomainError, FactorBoundError, PrecisionError, ResourceError
@@ -142,13 +142,32 @@ def _decimal(text: str) -> int | None:
     """The one reader of numbers in text: an optional leading '-' and ASCII
     digits, read as an int; None for anything else (``int()`` also takes
     other scripts' digits, '+', '_' and spaces) and past the digit limit."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
+    digits = text.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
         return None
     try:
         return int(text)
     except ValueError:  # past the interpreter's digit limit
         return None
+
+
+def _shown(value: object) -> str:
+    """``str(value)`` for a message. Past the interpreter's digit limit,
+    where ``str`` refuses, an int's sign and number of digits, or the type
+    of any other value."""
+    try:
+        return str(value)
+    except ValueError:
+        if not _is_int(value):
+            return f"a {type(value).__name__} past the digit limit"
+        size = abs(value)
+        digits = math.floor(math.log10(size)) + 1
+        # The float logarithm may be one off near a power of ten.
+        if size < 10 ** (digits - 1):
+            digits -= 1
+        elif size >= 10**digits:
+            digits += 1
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 # One checker per kind of argument (a flag is an instance of bool), called
@@ -183,6 +202,16 @@ def _require_instance(name: str, value: object, cls: type):
     return value
 
 
+def _marked(name: str, primes: Iterable, marker) -> dict:
+    """Each of the primes, ascending, mapped to marker: the exceptions of a
+    map given by a set of primes. Entries that cannot be ordered or hashed
+    are refused, naming the argument."""
+    try:
+        return dict.fromkeys(sorted(primes), marker)
+    except TypeError:
+        raise DomainError(f"{name} must be integers") from None
+
+
 def is_height(value: object) -> bool:
     """True iff value is a legal height entry (int >= 0 or INFINITY)."""
     return isinstance(value, InfinityType) or (_is_int(value) and value >= 0)
@@ -215,7 +244,7 @@ def is_prime(n: int) -> bool:
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+        raise DomainError(f"{_shown(p)} is not prime")
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -225,7 +254,7 @@ def primes_up_to(bound: int) -> list[int]:
     [2, 3, 5, 7]
     """
     if _require_int("prime bound", bound) < 2:
-        raise DomainError(f"prime bound must be at least 2, got {bound}")
+        raise DomainError(f"prime bound must be at least 2, got {_shown(bound)}")
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
@@ -278,7 +307,7 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int]:
             factors[n] = factors.get(n, 0) + 1
         else:
             raise FactorBoundError(
-                f"cannot factor {n} with trial division up to {prime_bound}"
+                f"cannot factor {_shown(n)} with trial division up to {_shown(prime_bound)}"
             )
     return dict(sorted(factors.items()))
 
@@ -324,7 +353,7 @@ class PAdicApprox(_Record):
         _require_prime(prime)
         _require_precision(prime, precision)
         if not 0 <= _require_int("residue", residue) < prime**precision:
-            raise DomainError(f"residue {residue} outside [0, {prime}^{precision})")
+            raise DomainError(f"residue {_shown(residue)} outside [0, {prime}^{precision})")
         if _require_instance("exactly_zero", exactly_zero, bool) and residue != 0:
             raise DomainError("an exact zero must have residue 0")
         self._set(prime, precision, residue, exactly_zero)
@@ -361,10 +390,10 @@ class PAdicApprox(_Record):
 def _require_precision(prime: int, precision: int) -> None:
     """Check a precision before any power prime**precision is built."""
     if _require_int("precision", precision) < 1:
-        raise DomainError(f"precision must be positive, got {precision}")
+        raise DomainError(f"precision must be positive, got {_shown(precision)}")
     if precision * prime.bit_length() > PRECISION_BIT_LIMIT:
         raise ResourceError(
-            f"precision {precision} at {prime} exceeds the p-adic size cap of "
+            f"precision {_shown(precision)} at {prime} exceeds the p-adic size cap of "
             f"{PRECISION_BIT_LIMIT} bits (precision times the bit length of the prime)"
         )
 
@@ -414,10 +443,14 @@ class PrimeMap(_Value):
         # A dict is a Mapping: it skips the slower check through the ABC.
         if exceptions is not None and not isinstance(exceptions, dict):
             _require_instance(f"{self._label} exceptions", exceptions, Mapping)
+        try:
+            items = sorted((exceptions or {}).items())
+        except TypeError:  # keys that cannot be ordered
+            raise DomainError(f"{self._label} exceptions must have integer keys") from None
         cleaned = {}
-        for p, value in sorted((exceptions or {}).items()):
+        for p, value in items:
             if not is_prime(p):
-                raise DomainError(f"{self._label} key {p} is not prime")
+                raise DomainError(f"{self._label} key {_shown(p)} is not prime")
             if not is_value(value):
                 raise DomainError(f"{self._label} entry at {p} must be {self._domain}")
             if value != default:

@@ -8,7 +8,8 @@ with values either a non-negative ASCII decimal, ``inf`` (heights only)
 or ``*`` (Postnikov descriptors only). Primes must be strictly increasing.
 Whitespace between tokens is ignored; the printed canonical form puts one
 space after each comma and none after colons, and parsing a canonical
-form reproduces it byte for byte.
+form reproduces it byte for byte. A valid text is read from one match of
+the whole grammar; the token scanner runs only to name an error.
 
 The commands are described once, as data, in ``_COMMANDS``. Each has its
 own leaf parser, built on first use, which never prints; the argparse tree
@@ -27,6 +28,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -117,12 +119,10 @@ def _value(token: tuple[str, object, int], special: str | None):
     return value
 
 
-def _parse_entries(text: str, special: str | None):
-    """Parse the common grammar; special is the one of 'inf' and '*' that
-    is legal here, or None. The whole text is tokenized first, so a lexical
-    error wins over an earlier grammar error. The keys come back proven
-    prime and ascending, the values legal for the context, and entries
-    equal to the default dropped."""
+def _parse_tokens(text: str, special: str | None):
+    """``_parse_entries`` by tokens: the one path that raises the grammar's
+    ``ParseError``s. The whole text is tokenized first, so a lexical error
+    wins over an earlier grammar error."""
     tokens = iter(_tokenize(text))
     for kind in ("{", "default", ":"):
         _expect(next(tokens), kind)
@@ -143,6 +143,55 @@ def _parse_entries(text: str, special: str | None):
     _expect(token, "}")
     _expect(next(tokens), "end")
     return default, {p: v for p, v in entries.items() if v != default}
+
+
+#: A whole well-formed text, with the default's value and the run of
+#: entries as groups. ``\s`` is exactly ``str.isspace`` and ``[0-9]`` the
+#: ASCII digits, so every text it matches tokenizes, into the same tokens.
+_TEXT = re.compile(
+    r"\s*\{\s*default\s*:\s*([0-9]+|[*]|inf)\s*"
+    r"((?:,\s*[0-9]+\s*:\s*(?:[0-9]+|[*]|inf)\s*)*)\}\s*"
+)
+#: One entry of ``_TEXT``'s run: its prime and its value.
+_ENTRY = re.compile(r",\s*([0-9]+)\s*:\s*([0-9]+|[*]|inf)")
+
+
+def _read_valid(text: str, special: str | None):
+    """``_parse_entries`` for a valid text, from one match, and None for
+    any other: it answers exactly the texts the token path answers, as
+    that path does, and raises nothing."""
+    match = _TEXT.fullmatch(text)
+    if match is None:
+        return None
+    word, run = match.groups()
+    special_value = _SPECIAL_VALUES[special][0] if special else None
+    # A word is the context's special value or a decimal: _decimal gives
+    # None for the other special word and past the digit limit.
+    default = special_value if word == special else _decimal(word)
+    if default is None:
+        return None
+    entries: dict[int, object] = {}
+    last_prime = 1
+    for key, word in _ENTRY.findall(run):
+        p = _decimal(key)
+        value = special_value if word == special else _decimal(word)
+        # Ascending keys hold no duplicate.
+        if p is None or p <= last_prime or value is None or not is_prime(p):
+            return None
+        if value != default:
+            entries[p] = value
+        last_prime = p
+    return default, entries
+
+
+def _parse_entries(text: str, special: str | None):
+    """Parse the common grammar; special is the one of 'inf' and '*' that
+    is legal here, or None. The keys come back proven prime and ascending,
+    the values legal for the context, and entries equal to the default
+    dropped. A valid text is read from one match of the whole grammar;
+    any other text goes to the token path, which names its first error
+    (a lexical error anywhere winning over an earlier grammar error)."""
+    return _read_valid(text, special) or _parse_tokens(text, special)
 
 
 def parse_heights(text: str) -> HeightSequence:

@@ -111,8 +111,12 @@ def _validated_twists(
 ) -> dict[int, tuple[int, int]]:
     if twists is None:
         return {}
+    try:
+        items = sorted(_require_instance("twists", twists, Mapping).items())
+    except TypeError:  # keys that cannot be ordered
+        raise DomainError("twists must have integer keys") from None
     cleaned: dict[int, tuple[int, int]] = {}
-    for p, twist in sorted(_require_instance("twists", twists, Mapping).items()):
+    for p, twist in items:
         _require_prime(p)
         if not (isinstance(twist, tuple) and len(twist) == 2):
             raise DomainError(f"twist at {p} must be a pair (mod_exp, unit)")

@@ -38,9 +38,11 @@ from .arith import (
     _Value,
     _decimal,
     _is_int,
+    _marked,
     _require_instance,
     _require_int,
     _require_prime,
+    _shown,
     is_nat_plus,
     is_prime,
     padic_decompose,
@@ -59,7 +61,14 @@ ENUMERATION_LIMIT = 10**6
 
 def _require_odd_dimension(n: int) -> None:
     if _require_int("dimension", n) < 3 or n % 2 == 0:
-        raise DomainError(f"dimension must be an odd integer >= 3, got {n!r}")
+        raise DomainError(f"dimension must be an odd integer >= 3, got {_shown(n)}")
+
+
+def _require_cap(cap: int) -> None:
+    if _require_int("fingerprint cap", cap) < 0:
+        raise DomainError(
+            f"fingerprint cap must be a non-negative integer, got {_shown(cap)}"
+        )
 
 
 def _divides(p: int, entry: NatPlus, m: int) -> bool:
@@ -93,7 +102,7 @@ class TorsionShape(PrimeMap):
 
     def __init__(self, primes: Iterable[int] = (), *, complement: bool = False):
         _require_instance("primes", primes, Iterable)
-        PrimeMap.__init__(self, complement, dict.fromkeys(primes, not complement))
+        PrimeMap.__init__(self, complement, _marked("primes", primes, not complement))
 
     @classmethod
     def from_heights(cls, heights: HeightSequence) -> "TorsionShape":
@@ -271,8 +280,7 @@ class FakeSphereModel(_Value):
         the search raises exactly when the probe at p^cap does not vanish.
         A cap must be an integer >= 0; p is proven prime once.
         """
-        if _require_int("fingerprint cap", cap) < 0:
-            raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
+        _require_cap(cap)
         _require_prime(p)
         return self._fingerprint(p, cap)
 
@@ -308,8 +316,7 @@ class FakeSphereModel(_Value):
         action on the classifying data is trivial, so no further quotient
         is taken.
         """
-        if _require_int("fingerprint cap", cap) < 0:
-            raise DomainError(f"fingerprint cap must be a non-negative integer, got {cap!r}")
+        _require_cap(cap)
         support = self._descriptor._exceptions
         default = self._fingerprint(_smallest_prime_outside(support), cap)
         fingerprints = ((p, self._fingerprint(p, cap)) for p in support)
@@ -328,9 +335,11 @@ class FakeSphereModel(_Value):
 
 
 def _smallest_prime_outside(support: Mapping[int, object]) -> int:
-    p = 2
+    if 2 not in support:
+        return 2
+    p = 3
     while p in support or not is_prime(p):
-        p += 1
+        p += 2
     return p
 
 
@@ -360,7 +369,8 @@ def assemble_global(dimension: int, descriptor: PostnikovGenusDescriptor) -> Fak
     model = FakeSphereModel(descriptor)
     if descriptor.dimension != _require_int("dimension", dimension):
         raise DomainError(
-            f"descriptor dimension {descriptor.dimension} does not match {dimension}"
+            f"descriptor dimension {_shown(descriptor.dimension)} "
+            f"does not match {_shown(dimension)}"
         )
     return model
 
@@ -375,7 +385,7 @@ def classifying_map_class(dimension: int, p: int, z: PAdicApprox) -> NatPlus:
     """
     _require_odd_dimension(dimension)
     if _require_instance("p-adic parameter", z, PAdicApprox).prime != _require_int("prime", p):
-        raise DomainError(f"p-adic parameter lives at {z.prime}, not {p}")
+        raise DomainError(f"p-adic parameter lives at {z.prime}, not {_shown(p)}")
     decomposition = padic_decompose(z)
     if isinstance(decomposition, StarType):
         return STAR
@@ -390,11 +400,11 @@ def cp_fake_descriptor(n: int, degree_exponents: Mapping[int, int]) -> Postnikov
     entry n*k at p. Distinct exponent sequences give distinct classes.
     """
     if _require_int("complex dimension", n) < 1:
-        raise DomainError(f"complex dimension must be a positive integer, got {n!r}")
+        raise DomainError(f"complex dimension must be a positive integer, got {_shown(n)}")
     entries: dict[int, int] = {}
     for p, k in _require_instance("degree exponents", degree_exponents, Mapping).items():
         if not (_is_int(k) and k >= 0):
-            raise DomainError(f"degree exponent at {p} must be a non-negative integer")
+            raise DomainError(f"degree exponent at {_shown(p)} must be a non-negative integer")
         entries[p] = n * k
     return PostnikovGenusDescriptor(2 * n + 1, 0, entries)
 
@@ -405,9 +415,9 @@ def _postnikov_choices(dimension: int, prime_bound: int, entry_bound: int) -> li
     Raises before anything is built."""
     _require_odd_dimension(dimension)
     if _require_int("prime bound", prime_bound) < 2:
-        raise DomainError(f"prime bound must be at least 2, got {prime_bound}")
+        raise DomainError(f"prime bound must be at least 2, got {_shown(prime_bound)}")
     if _require_int("entry bound", entry_bound) < 0:
-        raise DomainError(f"entry bound must be non-negative, got {entry_bound}")
+        raise DomainError(f"entry bound must be non-negative, got {_shown(entry_bound)}")
     # Size the enumeration prime by prime, so an oversized request is
     # refused after a few primes, before anything is allocated.
     primes: list[int] = []
@@ -526,7 +536,7 @@ class PostnikovSection(_Record):
 
     def __init__(self, level: int):
         if not (_is_int(level) and level >= 1):
-            raise DomainError(f"Postnikov level must be >= 1, got {level}")
+            raise DomainError(f"Postnikov level must be >= 1, got {_shown(level)}")
         self._set(level)
 
 

@@ -27,6 +27,7 @@ from .arith import (
     InfinityType,
     PrimeMap,
     _Value,
+    _marked,
     _require_instance,
     _require_int,
     _require_rational,
@@ -108,9 +109,12 @@ class TypeClass(PrimeMap):
         _require_instance("infinite primes", infinite_primes, Iterable)
         _require_instance("finite primes", finite_primes, Iterable)
         cofinite = _is_infinite(default)
-        listed, marker = (finite_primes, 0) if cofinite else (infinite_primes, INFINITY)
-        PrimeMap.__init__(self, default, dict.fromkeys(listed, marker))
-        if frozenset(infinite_primes if cofinite else finite_primes):
+        if cofinite:
+            exceptions = _marked("finite primes", finite_primes, 0)
+        else:
+            exceptions = _marked("infinite primes", infinite_primes, INFINITY)
+        PrimeMap.__init__(self, default, exceptions)
+        if list(infinite_primes if cofinite else finite_primes):
             kind = "infinite" if cofinite else "finite"
             raise DomainError(f"{kind} default cannot list {kind} primes")
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -332,3 +333,31 @@ def test_infinity_orders_above_every_int_and_nothing_else(other):
         for combine in (min, max, sorted):
             with pytest.raises(TypeError):
                 combine([INFINITY, other])
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's smallest digit limit, restored afterwards."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k", [639, 640, 641, 700, 1000, 4299, 4300, 4301, 9999])
+def test_shown_counts_digits_exactly_past_the_limit(digit_limit_640, k):
+    """Either side of each power of ten, where a float logarithm rounds."""
+    for n, digits in [(10**k - 1, k), (10**k, k + 1), (10**k + 1, k + 1)]:
+        if digits <= 640:
+            assert (arith._shown(n), arith._shown(-n)) == (str(n), str(-n))
+        else:
+            assert arith._shown(n) == f"an integer of {digits} digits"
+            assert arith._shown(-n) == f"a negative integer of {digits} digits"
+
+
+def test_shown_prints_other_values_as_str(digit_limit_640):
+    assert arith._shown(4) == "4"
+    assert arith._shown("x") == "x"
+    assert arith._shown(Fraction(10**700)) == "a Fraction past the digit limit"

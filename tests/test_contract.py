@@ -16,10 +16,14 @@ or a ``TypeError``, and never an answer. ``EXEMPT`` names the public
 callables that keep Python's own protocol, and why. A public callable in
 neither fails the test, so each new entry point joins the table.
 ``NAMED_CASES`` holds the calls of defects T1 and S1 (see ROADMAP.md and
-CHANGES.md) and the cases of the wrong-type tests in ``test_arith``,
-``test_genus`` and ``test_records``, some with the message they pin.
+CHANGES.md), entries of the wrong kind inside a collection argument, and
+the cases of the wrong-type tests in ``test_arith``, ``test_genus`` and
+``test_records``, some with the message they pin. ``RANGE_CASES`` holds
+each range refusal given an int past the interpreter's digit limit, which
+must still be a refusal that names the int by its digits.
 """
 
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -85,9 +89,10 @@ HEIGHT = wrong(STAR)
 NAT_PLUS = wrong(INFINITY)
 H = HeightSequence(0, {2: 1})
 HEIGHTS = wrong(TypeClass(0))
-# A string is iterable, and its characters are refused as primes.
-PRIMES = wrong(H)
-OPTIONAL_MAPPING = wrong([(2, 1)], None)
+# A string is iterable, and its characters are refused as primes; so are
+# entries that cannot be hashed or ordered.
+PRIMES = (*wrong(H), [[2]], [2, "x"])
+OPTIONAL_MAPPING = (*wrong([(2, 1)], None), {2: 1, "x": 1})
 
 GROUP = RankOneGroup(H)
 HOM = ConnectingHom(H, 1, {3: (1, 2)})
@@ -152,7 +157,7 @@ ENTRY_POINTS = {
     "QmodZElement.p_component": (QmodZElement(Fraction(1, 6)).p_component, {"p": (2, INT)}),
     "ConnectingHom": (ConnectingHom, {
         "kernel_heights": (H, HEIGHTS), "precompose": (2, RATIONAL),
-        "twists": ({3: (1, 2)}, wrong([(3, (1, 2))], None)),
+        "twists": ({3: (1, 2)}, (*wrong([(3, (1, 2))], None), {3: (1, 2), "x": (1, 2)})),
     }),
     "ConnectingHom.evaluate": (HOM.evaluate, {
         "q": (Fraction(1, 4), RATIONAL), "prime_bound": (100, INT),
@@ -361,6 +366,27 @@ NAMED_CASES = {
     ),
     "complex-record": (lambda: FiniteComplexDescriptor("x", "no", 1.5), "pi2_finite must be"),
     "from_tag-unknown": (lambda: FiniteComplexDescriptor.from_tag("1/2"), "unknown complex tag"),
+    # An entry of the wrong kind inside a collection: refused, naming the argument.
+    "height-mixed-keys": (
+        lambda: HeightSequence(0, {2: 1, "x": 1}), "height exceptions must have integer keys"
+    ),
+    "descriptor-mixed-keys": (
+        lambda: PostnikovGenusDescriptor(3, 0, {"x": 1, 2: 1}),
+        "descriptor exceptions must have integer keys",
+    ),
+    "twists-mixed-keys": (
+        lambda: ConnectingHom(H, 1, {3: (1, 2), "x": (1, 2)}), "twists must have integer keys"
+    ),
+    "type-unhashable-prime": (lambda: TypeClass(0, [[2]]), "infinite primes must be integers"),
+    "type-mixed-primes": (lambda: TypeClass(0, [2, "x"]), "infinite primes must be integers"),
+    "type-unhashable-finite-prime": (
+        lambda: TypeClass(INFINITY, (), [[2]]), "finite primes must be integers"
+    ),
+    "type-unhashable-unlisted": (
+        lambda: TypeClass(0, (), [[2]]), "finite default cannot list finite primes"
+    ),
+    "torsion-unhashable-prime": (lambda: TorsionShape([[2]]), "primes must be integers"),
+    "torsion-mixed-primes": (lambda: TorsionShape([2, None]), "primes must be integers"),
     # A refusal names the kind it got, so an int past the digit limit is not printed.
     "group-huge-int": (lambda: RankOneGroup(10**5000), "got int"),
     "is_prime-huge-fraction": (lambda: is_prime(Fraction(10**5000)), "got Fraction"),
@@ -415,3 +441,64 @@ def test_a_named_case_is_refused(case):
 def test_exempt_operators_keep_the_protocol(value):
     assert QmodZElement(1).__add__(value) is NotImplemented
     assert INFINITY.__lt__(value) is (False if value is True else NotImplemented)
+
+
+BIG = 10**5000  # 5,001 digits, past the interpreter's default limit of 4,300
+NEGATIVE_BIG = -BIG
+
+#: Each range refusal, called with an int past the digit limit, and the text
+#: that names it there.
+RANGE_CASES = {
+    "dimension": (lambda: PostnikovGenusDescriptor(2 * BIG), "got an integer of 5001 digits"),
+    "dimension-negative": (
+        lambda: RationalGenusElement(NEGATIVE_BIG, HOM), "got a negative integer of 5001 digits"
+    ),
+    "prime-bound": (lambda: primes_up_to(NEGATIVE_BIG), "got a negative integer of 5001 digits"),
+    "precision": (lambda: PAdicApprox(2, NEGATIVE_BIG), "got a negative integer of 5001 digits"),
+    "precision-cap": (lambda: PAdicApprox(2, BIG), "precision an integer of 5001 digits at 2"),
+    "residue": (lambda: PAdicApprox(2, 3, BIG), "residue an integer of 5001 digits"),
+    "not-prime": (lambda: PAdicApprox(BIG), "an integer of 5001 digits is not prime"),
+    "key-not-prime": (lambda: HeightSequence(0, {BIG: 1}), "key an integer of 5001 digits"),
+    "fingerprint-cap": (
+        lambda: MODEL.fingerprint(2, NEGATIVE_BIG), "got a negative integer of 5001 digits"
+    ),
+    "classify-cap": (lambda: MODEL.classify(NEGATIVE_BIG), "got a negative integer of 5001 digits"),
+    "complex-dimension": (
+        lambda: cp_fake_descriptor(NEGATIVE_BIG, {}), "got a negative integer of 5001 digits"
+    ),
+    "degree-exponent-key": (
+        lambda: cp_fake_descriptor(1, {BIG: -1}), "degree exponent at an integer of 5001 digits"
+    ),
+    "enumeration-prime-bound": (
+        lambda: iter_postnikov_genus(3, NEGATIVE_BIG, 1), "got a negative integer of 5001 digits"
+    ),
+    "enumeration-entry-bound": (
+        lambda: enumerate_postnikov_genus(3, 3, NEGATIVE_BIG),
+        "got a negative integer of 5001 digits",
+    ),
+    "assembled-dimension": (
+        lambda: assemble_global(BIG, DESCRIPTOR), "does not match an integer of 5001 digits"
+    ),
+    "classifying-prime": (
+        lambda: classifying_map_class(3, BIG, Z), "not an integer of 5001 digits"
+    ),
+    "postnikov-level": (
+        lambda: PostnikovSection(NEGATIVE_BIG), "got a negative integer of 5001 digits"
+    ),
+    "postnikov-level-fraction": (
+        lambda: PostnikovSection(Fraction(BIG)), "got a Fraction past the digit limit"
+    ),
+    "factor-bound": (
+        lambda: factorize(11**4900, 10), "cannot factor an integer of 5103 digits"
+    ),
+}
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the texts assume the interpreter's default digit limit",
+)
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_a_range_refusal_names_an_int_past_the_digit_limit(case):
+    call, message = RANGE_CASES[case]
+    assert message in str(refused_at_once(call).value)

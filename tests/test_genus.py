@@ -384,8 +384,9 @@ def test_classify_proves_each_prime_once(monkeypatch):
     model = FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 40, 3: 7, 5: STAR}))
     assert model.classify() == model.descriptor
     # Only the search for the prime that reveals the default tests numbers,
-    # each once; the support was proven when the descriptor was built.
-    assert calls == [4, 6, 7]
+    # odd ones only, each once; the support was proven when the descriptor
+    # was built.
+    assert calls == [7]
 
 
 def test_huge_cap_answers_at_once(monkeypatch):

@@ -14,7 +14,10 @@ from two ints. A sixth keeps one checker per kind of argument: only
 ``arith._is_int`` tests for ``bool`` with ``isinstance`` (an integer is
 never a bool), and only ``arith._require_rational`` calls ``Fraction`` on
 one argument that is not a literal (a rational is an int or a Fraction,
-never text that ``Fraction`` would parse).
+never text that ``Fraction`` would parse). A seventh keeps one path for
+the descriptor grammar's errors: ``cli._read_valid``, which answers a valid
+text from one match, has no ``raise``, so every grammar ``ParseError``
+comes from the token path.
 """
 
 import ast
@@ -168,3 +171,13 @@ def test_each_kind_of_argument_is_checked_in_one_place():
         if len(call.args) == 1 and not isinstance(call.args[0], ast.Constant)
     )
     assert rational_readers == ["arith.py:_require_rational"]
+
+
+def test_the_whole_text_reader_raises_nothing():
+    (reader,) = [
+        node
+        for node in ast.walk(parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_read_valid"
+    ]
+    raises = [node.lineno for node in ast.walk(reader) if isinstance(node, ast.Raise)]
+    assert not raises, f"cli._read_valid raises at lines {raises}"
