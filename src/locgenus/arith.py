@@ -204,12 +204,15 @@ def _require_instance(name: str, value: object, cls: type):
 
 def _marked(name: str, primes: Iterable, marker) -> dict:
     """Each of the primes, ascending, mapped to marker: the exceptions of a
-    map given by a set of primes. Entries that cannot be ordered or hashed
-    are refused, naming the argument."""
+    map given by a set of primes. Entries that are not integers, or cannot
+    be ordered, are refused, naming the argument."""
     try:
-        return dict.fromkeys(sorted(primes), marker)
-    except TypeError:
-        raise DomainError(f"{name} must be integers") from None
+        primes = sorted(primes)
+        if all(map(_is_int, primes)):
+            return dict.fromkeys(primes, marker)
+    except TypeError:  # entries that cannot be ordered
+        pass
+    raise DomainError(f"{name} must be integers")
 
 
 def is_height(value: object) -> bool:
@@ -449,6 +452,10 @@ class PrimeMap(_Value):
             raise DomainError(f"{self._label} exceptions must have integer keys") from None
         cleaned = {}
         for p, value in items:
+            # Before is_prime, whose refusal names no argument; an exact int
+            # skips the call.
+            if type(p) is not int and not _is_int(p):
+                raise DomainError(f"{self._label} exceptions must have integer keys")
             if not is_prime(p):
                 raise DomainError(f"{self._label} key {_shown(p)} is not prime")
             if not is_value(value):

@@ -11,9 +11,9 @@ space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte. A valid text is read from one match of
 the whole grammar; the token scanner runs only to name an error.
 
-The commands are described once, as data, in ``_COMMANDS``. Each has its
-own leaf parser, built on first use, which never prints; the argparse tree
-copies them, and is built only where argparse must print or no leaf fits.
+The commands are described once, as data, in ``_COMMANDS``, and argv is
+read from that table (``_read_argv``). The argparse tree is built from it
+only to print help or an error, or for the forms the reader declines.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard
 (each error class carries its ``exit_code``), 141 when the reader closes
@@ -393,42 +393,11 @@ _ENTRIES = {tuple(entry[0].split()): entry for entry in _COMMANDS}
 _JSON_HELP = "emit one JSON object"
 
 
-class _Declined(Exception):
-    """A leaf parser would print; the tree must parse the command."""
-
-
-class _Leaf(argparse.ArgumentParser):
-    """One command's own parser; where argparse would print, it declines.
-    Only the tree prints: its root classifies every word, so ``--=x`` after
-    the command words is the root's "ambiguous option" error, which a leaf
-    would print with its own usage (68 of the 6,000 pinned ``argv_corpus``
-    outputs)."""
-
-    def error(self, message=None):
-        raise _Declined
-
-    print_help = error
-
-
-@functools.cache
-def _leaf(words: tuple[str, ...]) -> _Leaf:
-    """The parser of the command named by words, built on first use. Its
-    --json has no default, so a command not given the flag keeps the value
-    seeded by the words before it or by the root."""
-    _, _, arguments, handler = _ENTRIES[words]
-    leaf = _Leaf()  # with -h, so it reads '-h x' as an option, as the tree does
-    leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=_JSON_HELP)
-    for argument, options in arguments:
-        leaf.add_argument(argument, **options)
-    leaf.set_defaults(handler=handler)
-    return leaf
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree of ``_COMMANDS``, built once per process where
-    argparse must print or the words name no leaf. Each of its leaves copies
-    the command's leaf parser, help option included."""
+    argparse must print or ``_read_argv`` declines argv. A leaf's --json
+    has no default, so a command not given the flag keeps the root's."""
     description = "Exact classification of localization-genus data"
     root = argparse.ArgumentParser(prog="locgenus", description=description)
     root.add_argument("--json", action="store_true", help=_JSON_HELP)
@@ -442,32 +411,75 @@ def _parser() -> argparse.ArgumentParser:
             choices[path] = node.add_subparsers(dest=_DESTS[len(path.split())], required=True)
         return choices[path]
 
-    for words, (path, help_text, _, _) in _ENTRIES.items():
+    for path, help_text, arguments, handler in _COMMANDS:
         parent, _, name = path.rpartition(" ")
-        group(parent).add_parser(name, help=help_text, add_help=False, parents=[_leaf(words)])
+        leaf = group(parent).add_parser(name, help=help_text)
+        leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=_JSON_HELP)
+        for argument, options in arguments:
+            leaf.add_argument(argument, **options)
+        leaf.set_defaults(handler=handler)
     return root
 
 
-def _leaf_first(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace the tree would give argv, parsed by the leaf alone; None
-    where the tree must parse argv: the words after any leading --json name
-    no leaf, or the leaf would print or leave words over."""
+def _flag_like(token: str) -> bool:
+    """Whether token starts with '-' and is not a negative decimal, which
+    argparse reads as a positional (no parser here has an option like one)."""
+    return token.startswith("-") and _decimal(token) is None
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` gives, read from the
+    command's ``_COMMANDS`` entry; or None, so that argparse prints help and
+    errors and reads any other form. The reader answers only argv of --json,
+    the command words, its options each with a value that is not flag-like,
+    and its positionals, flag-like only after one '--' that is not last.
+    Raises nothing."""
     rest = list(itertools.dropwhile("--json".__eq__, argv))
     words = next((w for w in (tuple(rest[:n]) for n in (3, 2, 1)) if w in _ENTRIES), None)
     if words is None:
         return None
-    namespace = argparse.Namespace(json=len(rest) < len(argv), **dict(zip(_DESTS, words)))
-    try:
-        namespace, left = _leaf(words).parse_known_args(rest[len(words):], namespace)
-    except _Declined:
+    _, _, arguments, handler = _ENTRIES[words]
+    values = {"json": len(rest) < len(argv), **dict(zip(_DESTS, words)), "handler": handler}
+    given = {name: [] for name, _ in arguments}  # the texts of each argument
+    positionals = []
+    tokens = iter(rest[len(words):])
+    for token in tokens:
+        if token == "--":
+            after = list(tokens)
+            # argparse refuses a last '--' unless a positional is before it,
+            # and Python 3.11's mangles a second one.
+            if "--" in after or not after:
+                return None
+            positionals += after
+        elif token == "--json":
+            values["json"] = True
+        elif _flag_like(token):
+            value = next(tokens, "-")
+            if token not in given or _flag_like(value):
+                return None
+            given[token].append(value)
+        else:
+            positionals.append(token)
+    names = [name for name in given if not name.startswith("-")]
+    if len(positionals) != len(names):
         return None
-    return None if left else namespace
+    given.update((name, [text]) for name, text in zip(names, positionals))
+    try:
+        for name, options in arguments:
+            if not given[name] and options.get("required"):
+                return None
+            # argparse converts each text given and keeps the last.
+            texts = map(options.get("type", str), given[name])
+            values[name.lstrip("-").replace("-", "_")] = [options.get("default"), *texts][-1]
+    except argparse.ArgumentTypeError:
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _leaf_first(argv) or _parser().parse_args(argv)
+        args = _read_argv(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

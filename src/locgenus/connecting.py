@@ -29,6 +29,7 @@ from .arith import (
     InfinityType,
     PrimeMap,
     _Value,
+    _is_int,
     _require_instance,
     _require_int,
     _require_precision,
@@ -117,6 +118,8 @@ def _validated_twists(
         raise DomainError("twists must have integer keys") from None
     cleaned: dict[int, tuple[int, int]] = {}
     for p, twist in items:
+        if not _is_int(p):  # before _require_prime, whose refusal names no argument
+            raise DomainError("twists must have integer keys")
         _require_prime(p)
         if not (isinstance(twist, tuple) and len(twist) == 2):
             raise DomainError(f"twist at {p} must be a pair (mod_exp, unit)")

@@ -13,8 +13,7 @@ from locgenus import (
     INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, arith, errors,
 )
 from locgenus.cli import (
-    _COMMANDS, _leaf, _leaf_first, _parser, main, parse_degree_exponents, parse_descriptor,
-    parse_heights,
+    _COMMANDS, _parser, _read_argv, main, parse_degree_exponents, parse_descriptor, parse_heights,
 )
 
 from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
@@ -345,11 +344,8 @@ class TestDeterminism:
         assert first == second
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    """A command's leaf parser and the tree are each built on first use and
-    then kept: a second pass over the same argv builds no parser."""
-    _leaf.cache_clear()
-    _parser.cache_clear()
+def built_parsers(monkeypatch) -> list:
+    """The prog of each ``argparse.ArgumentParser`` built from now on."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -358,6 +354,14 @@ def test_parser_is_built_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """The tree is built on first use and then kept: a second pass over the
+    same argv builds no parser."""
+    _parser.cache_clear()
+    built = built_parsers(monkeypatch)
     argvs = (["type", "canon", "{default:0}"], ["genus", "--json"], ["verdict", "--help"])
     for argv in argvs:
         main(argv)
@@ -367,7 +371,7 @@ def test_parser_is_built_once(capsys, monkeypatch):
         main(argv)
     capsys.readouterr()
     assert built == []
-    assert (_leaf.cache_info().misses, _parser.cache_info().misses) == (len(_COMMANDS), 1)
+    assert _parser.cache_info().misses == 1
 
 
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
@@ -420,20 +424,32 @@ README_COMMANDS = [
 ]
 
 
+def json_forms(argv):
+    """argv, and argv with --json put before the command words or in any
+    later place that does not part an option from its value."""
+    paths = [path.split() for path, *_ in _COMMANDS]
+    words = next(len(path) for path in paths if argv[:len(path)] == path)
+    places = [0, *(i for i in range(words, len(argv) + 1) if not argv[i - 1].startswith("--"))]
+    return [argv, *([*argv[:i], "--json", *argv[i:]] for i in places)]
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS)
-def test_a_valid_command_builds_no_tree(capsys, argv):
-    _leaf.cache_clear()
+def test_a_valid_command_builds_no_tree(capsys, monkeypatch, argv):
+    """A README command, with or without --json, is read without building
+    any argparse parser."""
     _parser.cache_clear()
-    assert main(argv) == 0
+    built = built_parsers(monkeypatch)
+    for form in json_forms(argv):
+        assert main(form) == 0, form
     capsys.readouterr()
+    assert built == []
     assert _parser.cache_info().currsize == 0
-    assert _leaf.cache_info().currsize == 1
 
 
 def test_only_errors_and_help_reach_the_tree(capsys, monkeypatch):
-    """A command is parsed by its leaf parser alone; the root parser's
-    parse_args runs once for an argparse error or help, and where the
-    words name no leaf."""
+    """A command is read from its ``_COMMANDS`` entry alone; the root
+    parser's parse_args runs once for an argparse error or help, and where
+    the words name no command."""
     root = _parser()
     calls = []
     parse_args = root.parse_args
@@ -453,9 +469,8 @@ def test_only_errors_and_help_reach_the_tree(capsys, monkeypatch):
 
 
 def test_threads_parse_independently(capsys):
-    """One thread's leaf-first parse never turns another thread's argparse
-    error, printed by the same leaf parser through the tree, into anything
-    but exit 2."""
+    """One thread's read of a valid argv never turns another thread's
+    argparse error, printed through the tree, into anything but exit 2."""
     failures = []
 
     def work(argv, code):
@@ -530,12 +545,12 @@ def argv_corpus(seed, size):
         yield argv
 
 
-def test_leaf_first_parse_matches_the_tree(capsys):
-    """Where the leaf parser answers alone, it gives the tree's namespace,
-    and it never prints."""
+def test_read_argv_matches_the_tree(capsys):
+    """Where the reader answers, it gives the tree's namespace, and it
+    never prints."""
     answered = 0
     for argv in argv_corpus(20261019, 6000):
-        namespace = _leaf_first(argv)
+        namespace = _read_argv(argv)
         assert capsys.readouterr() == ("", ""), argv
         if namespace is not None:
             answered += 1
@@ -545,9 +560,9 @@ def test_leaf_first_parse_matches_the_tree(capsys):
 
 @pytest.mark.parametrize("word", ["-h x", "-hx y"])
 def test_a_leaf_reads_help_lookalikes_as_the_tree_does(capsys, word):
-    """A leaf parser keeps -h: without it, a value such as '-h x' would parse
-    as a positional, where the tree refuses it as an explicit argument."""
-    assert _leaf_first(["type", "canon", word]) is None
+    """The tree's leaves keep -h, so a value such as '-h x' is refused as
+    an explicit argument, not read as a positional; the reader declines it."""
+    assert _read_argv(["type", "canon", word]) is None
     code, out, err = run_cli(capsys, "type", "canon", word)
     assert (code, out) == (2, "") and "ignored explicit argument" in err
 

@@ -387,6 +387,24 @@ NAMED_CASES = {
     ),
     "torsion-unhashable-prime": (lambda: TorsionShape([[2]]), "primes must be integers"),
     "torsion-mixed-primes": (lambda: TorsionShape([2, None]), "primes must be integers"),
+    # A key that can be ordered but is not an integer: refused before the
+    # primality test, whose refusal names no argument.
+    "descriptor-bool-key": (
+        lambda: PostnikovGenusDescriptor(3, 0, {True: 1}),
+        "descriptor exceptions must have integer keys",
+    ),
+    "twists-str-key": (
+        lambda: ConnectingHom(HeightSequence(0), twists={"x": (1, 1)}),
+        "twists must have integer keys",
+    ),
+    "twists-bool-key": (
+        lambda: ConnectingHom(H, 1, {True: (1, 2)}), "twists must have integer keys"
+    ),
+    "type-float-prime": (lambda: TypeClass(0, [2.5]), "infinite primes must be integers"),
+    "type-bool-finite-prime": (
+        lambda: TypeClass(INFINITY, (), [True]), "finite primes must be integers"
+    ),
+    "torsion-bool-prime": (lambda: TorsionShape({True}), "primes must be integers"),
     # A refusal names the kind it got, so an int past the digit limit is not printed.
     "group-huge-int": (lambda: RankOneGroup(10**5000), "got int"),
     "is_prime-huge-fraction": (lambda: is_prime(Fraction(10**5000)), "got Fraction"),
@@ -396,8 +414,10 @@ NAMED_CASES = {
     # test_records::test_postnikov_level_is_checked.
     "is_prime-float": (lambda: is_prime(7.5), None),
     "is_prime-bool": (lambda: is_prime(True), None),
-    "height-key": (lambda: HeightSequence(0, {7.5: 1}), None),
-    "torsion-key": (lambda: TorsionShape({7.5}), None),
+    "height-key": (
+        lambda: HeightSequence(0, {7.5: 1}), "height exceptions must have integer keys"
+    ),
+    "torsion-key": (lambda: TorsionShape({7.5}), "primes must be integers"),
     "precision": (lambda: PAdicApprox(2, 1.5, 1), None),
     "twist": (lambda: ConnectingHom(HeightSequence(0), twists={2: (1.5, 3)}), None),
     "factorize-float": (lambda: factorize(7.5), None),

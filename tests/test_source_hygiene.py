@@ -17,7 +17,11 @@ one argument that is not a literal (a rational is an int or a Fraction,
 never text that ``Fraction`` would parse). A seventh keeps one path for
 the descriptor grammar's errors: ``cli._read_valid``, which answers a valid
 text from one match, has no ``raise``, so every grammar ``ParseError``
-comes from the token path.
+comes from the token path. An eighth keeps one printer of the command
+line: only ``cli._parser`` builds an ``argparse.ArgumentParser``, and
+``cli._read_argv``, which reads the argv it can from ``cli._COMMANDS``,
+has no ``raise``, so every usage, help and argparse error comes from the
+tree.
 """
 
 import ast
@@ -173,11 +177,29 @@ def test_each_kind_of_argument_is_checked_in_one_place():
     assert rational_readers == ["arith.py:_require_rational"]
 
 
-def test_the_whole_text_reader_raises_nothing():
-    (reader,) = [
+def raises_in(name):
+    """The line of each ``raise`` in the cli.py function of that name."""
+    (function,) = [
         node
         for node in ast.walk(parse(PACKAGE / "cli.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "_read_valid"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     ]
-    raises = [node.lineno for node in ast.walk(reader) if isinstance(node, ast.Raise)]
+    return [node.lineno for node in ast.walk(function) if isinstance(node, ast.Raise)]
+
+
+def test_the_whole_text_reader_raises_nothing():
+    raises = raises_in("_read_valid")
     assert not raises, f"cli._read_valid raises at lines {raises}"
+
+
+def test_only_the_tree_builds_an_argparse_parser():
+    builders = sorted(
+        f"{path.name}:{owner}"
+        for path in PACKAGE.glob("*.py")
+        for owner, call in calls_by_function(parse(path))
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "ArgumentParser"
+        or isinstance(call.func, ast.Name) and call.func.id == "ArgumentParser"
+    )
+    assert builders == ["cli.py:_parser"]
+    raises = raises_in("_read_argv")
+    assert not raises, f"cli._read_argv raises at lines {raises}"
