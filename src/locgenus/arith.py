@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -138,17 +139,25 @@ Height = int | InfinityType
 NatPlus = int | StarType
 
 
+#: The interpreter's digit limit of ``int()`` and ``str()``, read at each
+#: call since it can be set at run time; 0 (none) where there is no limit.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _decimal(text: str) -> int | None:
     """The one reader of numbers in text: an optional leading '-' and ASCII
     digits, read as an int; None for anything else (``int()`` also takes
-    other scripts' digits, '+', '_' and spaces) and past the digit limit."""
+    other scripts' digits, '+', '_' and spaces) and past the digit limit.
+    A text longer than the limit is refused by its length before any
+    character is read: as in ``int()``, leading zeros count and the sign
+    does not."""
     digits = text.removeprefix("-")
+    # 640 is the smallest nonzero limit, so a short text pays one comparison.
+    if len(digits) > 640 and len(digits) > _digit_limit() > 0:
+        return None
     if not (digits.isdigit() and digits.isascii()):
         return None
-    try:
-        return int(text)
-    except ValueError:  # past the interpreter's digit limit
-        return None
+    return int(text)
 
 
 def _shown(value: object) -> str:
@@ -198,7 +207,8 @@ def _require_rational(name: str, value: object) -> Fraction:
 
 def _require_instance(name: str, value: object, cls: type):
     if not isinstance(value, cls):
-        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

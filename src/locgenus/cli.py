@@ -64,7 +64,18 @@ from .rankone import HeightSequence, RankOneGroup, similar, type_of
 # Descriptor grammar
 # ---------------------------------------------------------------------------
 
+#: A run of ASCII digits and a run of spaces, each read by one match.
+#: ``\s`` is exactly ``str.isspace`` (no ``re`` class equals ``str.isalpha``,
+#: so a word keeps its loop).
+_DIGITS = re.compile(r"[0-9]+")
+_SPACES = re.compile(r"\s+")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """The tokens of a descriptor text, each with its position, ending in
+    an ``end`` token; the first lexical error raises ``ParseError``. A run
+    of digits or of spaces is scanned in one match, and a number past the
+    interpreter's digit limit is refused by its length."""
     tokens: list[tuple[str, object, int]] = []
     i = 0
     n = len(text)
@@ -74,8 +85,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if c in "{}:,*":
             tokens.append((c, c, i))
         elif "0" <= c <= "9":
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+            j = _DIGITS.match(text, i).end()
             value = _decimal(text[i:j])
             if value is None:  # past the interpreter's digit limit
                 raise ParseError(f"number of {j - i} digits is too long", i)
@@ -87,7 +97,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             if word not in ("default", "inf"):
                 raise ParseError(f"unexpected word {word!r}", i)
             tokens.append((word, word, i))
-        elif not c.isspace():
+        elif c.isspace():
+            j = _SPACES.match(text, i).end()
+        else:
             raise ParseError(f"unexpected character {c!r}", i)
         i = j
     tokens.append(("end", None, n))
@@ -479,14 +491,16 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _read_argv(argv) or _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        # Python 3.11's argparse gives a positional after a second '--' as [].
-        if any(isinstance(value, list) for value in vars(args).values()):
-            raise ParseError("'--' may be given only once")
+        args = _read_argv(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
+            # Python 3.11's argparse gives a positional after a second '--'
+            # as []; the reader never gives a list.
+            if any(isinstance(value, list) for value in vars(args).values()):
+                raise ParseError("'--' may be given only once")
         lines, payload = args.handler(args)
+    except SystemExit as exc:  # argparse printed help or an error
+        return exc.code if isinstance(exc.code, int) else 2
     except LocgenusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -346,6 +346,47 @@ def digit_limit_640():
     sys.set_int_max_str_digits(limit)
 
 
+def decimal_oracle(text):
+    """``arith._decimal`` by ``int()`` itself: ASCII digits after an optional
+    '-', or None where ``int()`` refuses past the digit limit."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+#: Either side of the limit of 640, with and without a sign; leading zeros,
+#: which count as digits; and texts past 640 characters that are no number.
+TEXTS_AT_640 = [
+    *(sign + "7" * k for sign in ("", "-") for k in (639, 640, 641)),
+    "0" * 640, "0" * 641, "-" + "0" * 641, "0" * 639 + "1", "0" * 640 + "1",
+    "x" * 641, "7" * 640 + "x", "x" + "7" * 640, "-" * 641, "+" + "7" * 640,
+    " " + "7" * 640, "\u0663" * 641, "7_" * 321, "--" + "7" * 640,
+]
+
+
+@pytest.mark.parametrize("text", TEXTS_AT_640, ids=lambda t: f"{t[:3]}..{len(t)}")
+def test_decimal_refuses_past_the_limit_as_int_does(digit_limit_640, text):
+    assert arith._decimal(text) == decimal_oracle(text)
+
+
+def test_the_oracle_sees_the_limit(digit_limit_640):
+    assert [decimal_oracle("7" * k) for k in (640, 641)] == [int("7" * 640), None]
+
+
+def test_decimal_reads_any_length_without_a_limit(digit_limit_640):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert arith._decimal("7" * 5000) == int("7" * 5000)
+        assert arith._decimal("-" + "0" * 4999 + "1") == -1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("k", [639, 640, 641, 700, 1000, 4299, 4300, 4301, 9999])
 def test_shown_counts_digits_exactly_past_the_limit(digit_limit_640, k):
     """Either side of each power of ten, where a float logarithm rounds."""

@@ -354,6 +354,7 @@ NAMED_CASES = {
     # Seen answering or escaping besides.
     "complement-str": (lambda: TorsionShape((), complement="x"), "true or false"),
     "height-pairs": (lambda: HeightSequence(0, [(2, 1)]), "exceptions must be a Mapping"),
+    "torsion-int": (lambda: TorsionShape(5), "primes must be an Iterable, got int"),
     "intersect-int": (lambda: RankOneGroup.integers().intersect(5), "other group must be"),
     "with_twist-float-unit": (
         lambda: ConnectingHom(HeightSequence(0)).with_twist(3, 1, 2.0), "twist unit must be"

@@ -6,7 +6,10 @@ path (``cli._parse_tokens``), which alone raises the grammar's errors.
 The token path is the oracle here: on texts built from canonical forms
 with edits, the reader answers exactly the texts the token path answers,
 with the same value, and ``_parse_entries`` gives the token path's value
-or its error, with the same class, message and position.
+or its error, with the same class, message and position. The token
+path's scanner, which reads each run of digits or of spaces in one match,
+agrees in turn with a loop over characters, and refuses a long run
+without reading each of its characters.
 """
 
 import re
@@ -14,7 +17,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from locgenus import cli, genus
+from locgenus import ParseError, cli, genus
 from locgenus.cli import (
     _parse_entries, _parse_tokens, _read_valid, main, parse_degree_exponents,
     parse_descriptor, parse_heights,
@@ -111,6 +114,91 @@ def test_regex_space_is_str_isspace():
     space = re.compile(r"\s")
     disagree = [c for c in map(chr, range(0x110000)) if bool(space.match(c)) != c.isspace()]
     assert disagree == []
+
+
+def tokenize_by_character(text):
+    """``cli._tokenize`` as a loop over characters: the oracle of the
+    scanner, which reads each run of digits or of spaces in one match."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        j = i + 1
+        if c in "{}:,*":
+            tokens.append((c, c, i))
+        elif "0" <= c <= "9":
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            try:
+                tokens.append(("number", int(text[i:j]), i))
+            except ValueError:
+                raise ParseError(f"number of {j - i} digits is too long", i) from None
+        elif c.isalpha():
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word not in ("default", "inf"):
+                raise ParseError(f"unexpected word {word!r}", i)
+            tokens.append((word, word, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
+    tokens.append(("end", None, n))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return ["tokens", tokenize(text)]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "position", None)]
+
+
+#: A run of up to 5,000 digits (past the digit limit of 4,300 and within
+#: it), a long run of mixed spaces, or another piece of the grammar or not.
+run = st.one_of(
+    st.builds(
+        lambda lead, digit, length: lead + digit * length,
+        st.sampled_from(["", "0", "1"]), st.sampled_from("0123456789"), st.integers(0, 5000),
+    ),
+    st.builds(
+        lambda spaces, repeat: "".join(spaces) * repeat,
+        st.lists(st.sampled_from(SPACES), min_size=1, max_size=8), st.integers(1, 600),
+    ),
+    st.sampled_from(["{", "}", ":", ",", "*", "default", "inf", "x", "\u0663", "\u00b2",
+                     "-", *NOT_SPACES]),
+)
+
+
+@settings(max_examples=200)
+@given(text=st.lists(run, max_size=10).map("".join))
+@example(text="{default:" + "7" * 4300 + "}")
+@example(text="{default:" + "0" * 4301 + "}")
+@example(text=" \u3000\x85" * 2000 + "{default:0}\u200b")
+def test_the_scanner_agrees_with_a_loop_over_characters(text):
+    assert tokens_or_error(cli._tokenize, text) == tokens_or_error(tokenize_by_character, text)
+
+
+class CountingStr(str):
+    """A text that counts the characters and slices read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "text", ["{default:" + "9" * 20000 + "}", "{" + " " * 20000 + "default:0, 4:1}"],
+    ids=["digits", "spaces"],
+)
+def test_a_long_run_is_refused_without_reading_each_character(text):
+    counted = CountingStr(text)
+    with pytest.raises(ParseError):
+        _parse_entries(counted, "inf")
+    assert counted.reads < 100
 
 
 def every_line_of_enumerations():
