@@ -160,12 +160,12 @@ def _decimal(text: str) -> int | None:
     return int(text)
 
 
-def _shown(value: object) -> str:
-    """``str(value)`` for a message. Past the interpreter's digit limit,
-    where ``str`` refuses, an int's sign and number of digits, or the type
-    of any other value."""
+def _shown(value: object, show=str) -> str:
+    """``show(value)`` for a message. Past the interpreter's digit limit,
+    where ``str`` and ``repr`` refuse, an int's sign and number of digits,
+    or the type of any other value."""
     try:
-        return str(value)
+        return show(value)
     except ValueError:
         if not _is_int(value):
             return f"a {type(value).__name__} past the digit limit"
@@ -268,7 +268,10 @@ def primes_up_to(bound: int) -> list[int]:
     """
     if _require_int("prime bound", bound) < 2:
         raise DomainError(f"prime bound must be at least 2, got {_shown(bound)}")
-    sieve = bytearray([1]) * (bound + 1)
+    try:
+        sieve = bytearray([1]) * (bound + 1)
+    except (OverflowError, MemoryError):
+        raise ResourceError(f"cannot allocate a sieve up to {_shown(bound)}") from None
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:

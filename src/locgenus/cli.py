@@ -282,7 +282,8 @@ def _cmd_genus_rational(args):
     element = RationalGenusElement(args.dim, beta(RankOneGroup(parse_heights(args.heights))))
     pi_n, torsion = element.homotopy_groups()
     connected = element.is_n_minus_1_connected()
-    texts = {"type": str(element.classify()), "pi_n": str(pi_n),
+    # The class and pi_n are both the hom's double coset class.
+    texts = {"type": str(pi_n), "pi_n": str(pi_n),
              "torsion_primes": str(torsion), "connected": _format_bool(connected)}
     torsion_json = {"cofinite": torsion.is_cofinite, "primes": sorted(torsion.listed_primes)}
     payload = {**texts, "torsion_primes": torsion_json, "connected": connected}

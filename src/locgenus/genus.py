@@ -632,7 +632,7 @@ def finite_complex_genus_verdict(
     elif isinstance(functor, PostnikovSection):
         witness = _KNOWN_COUNTEREXAMPLES.get((complex_descriptor.tag, functor.level))
     else:
-        raise DomainError(f"unknown genus functor {functor!r}")
+        raise DomainError(f"unknown genus functor {_shown(functor, repr)}")
     if not complex_descriptor.pi2_finite:
         kind, reason = VerdictKind.HYPOTHESES_NOT_MET, "second homotopy group is infinite"
     elif isinstance(functor, Neisendorfer):
@@ -640,11 +640,11 @@ def finite_complex_genus_verdict(
         reason = "simply connected finite complex with finite second homotopy group"
     elif complex_descriptor.rational_vanishing_level > functor.level:
         kind = VerdictKind.HYPOTHESES_NOT_MET
-        reason = f"rational homotopy survives above level {functor.level}"
+        reason = f"rational homotopy survives above level {_shown(functor.level)}"
     else:
         kind = VerdictKind.SINGLETON_AMONG_FINITE
         reason = (
             "finite second homotopy group, rational homotopy vanishes "
-            f"above level {functor.level}"
+            f"above level {_shown(functor.level)}"
         )
     return GenusVerdict(kind, complex_descriptor.tag, witness, reason)

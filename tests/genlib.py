@@ -1,4 +1,5 @@
-"""Seeded random builders shared by the module and acceptance tests."""
+"""Seeded random builders and the helpers shared by the module, CLI and
+acceptance tests."""
 
 from fractions import Fraction
 from random import Random
@@ -12,6 +13,7 @@ from locgenus import (
     PostnikovGenusDescriptor,
     RankOneGroup,
 )
+from locgenus.cli import main
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -216,3 +218,10 @@ def count_proofs(monkeypatch) -> list:
 
     monkeypatch.setattr(locgenus.arith, "is_prime", counting)
     return proven
+
+
+def run_cli(capsys, *argv):
+    """Run the CLI in-process: its exit code, stdout and stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

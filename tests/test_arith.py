@@ -10,13 +10,10 @@ from hypothesis import given, strategies as st
 from locgenus import (
     INFINITY,
     STAR,
-    ConnectingHom,
     DomainError,
     FactorBoundError,
-    HeightSequence,
     PAdicApprox,
     PrecisionError,
-    TorsionShape,
     factorize,
     is_prime,
     mod_one,
@@ -25,6 +22,8 @@ from locgenus import (
     valuation,
 )
 from locgenus import arith
+
+from genlib import count_proofs
 
 
 def oracle_factor(n):
@@ -168,8 +167,7 @@ class TestPAdicApprox:
         assert PAdicApprox.from_int(0, 3).exactly_zero
 
     def test_prime_is_proven_once(self, monkeypatch):
-        proofs = []
-        monkeypatch.setattr(arith, "is_prime", lambda p: proofs.append(p) or is_prime(p))
+        proofs = count_proofs(monkeypatch)
         z = PAdicApprox.from_int(12 * 1000003**2, 1000003, 12)
         k, unit = padic_decompose(-z)
         assert proofs == [1000003]
@@ -249,33 +247,6 @@ class TestSentinels:
     def test_reprs(self):
         assert repr(INFINITY) == "inf"
         assert repr(STAR) == "*"
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: is_prime(7.5),
-        lambda: is_prime(True),
-        lambda: HeightSequence(0, {7.5: 1}),
-        lambda: TorsionShape({7.5}),
-        lambda: PAdicApprox(2, 1.5, 1),
-        lambda: ConnectingHom(HeightSequence(0), twists={2: (1.5, 3)}),
-        lambda: factorize(7.5),
-        lambda: factorize(True),
-        lambda: primes_up_to(7.5),
-        lambda: primes_up_to(True),
-        lambda: PAdicApprox(2, 3, 1.5),
-        lambda: PAdicApprox.from_int(1.5, 2),
-    ],
-    ids=[
-        "is_prime-float", "is_prime-bool", "height-key", "torsion-key", "precision", "twist",
-        "factorize-float", "factorize-bool", "primes_up_to-float", "primes_up_to-bool",
-        "residue", "from_int",
-    ],
-)
-def test_non_integers_are_refused(build):
-    with pytest.raises(DomainError):
-        build()
 
 
 @pytest.mark.parametrize("n, bound", [(25, -5), (35, -6)])

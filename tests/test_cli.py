@@ -10,20 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from locgenus import (
-    INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, arith, errors,
+    INFINITY, STAR, HeightSequence, ParseError, PostnikovGenusDescriptor, errors,
 )
 from locgenus.cli import (
     _COMMANDS, _parser, _read_argv, main, parse_degree_exponents, parse_descriptor, parse_heights,
 )
 
-from genlib import SMALL_PRIMES, random_descriptor, random_height_sequence
+from genlib import SMALL_PRIMES, count_proofs, random_descriptor, random_height_sequence, run_cli
 from test_cli_guards import assert_one_error_line, locgenus_env
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestParsing:
@@ -329,9 +323,7 @@ class TestExitCodes:
 
 @pytest.mark.parametrize("value, answer", [("12", "0"), ("zero", "*"), ("-1000003", "1")])
 def test_padic_class_proves_its_prime_once(capsys, monkeypatch, value, answer):
-    proofs = []
-    is_prime = arith.is_prime
-    monkeypatch.setattr(arith, "is_prime", lambda p: proofs.append(p) or is_prime(p))
+    proofs = count_proofs(monkeypatch)
     assert run_cli(capsys, "padic", "class", "1000003", value) == (0, answer + "\n", "")
     assert proofs == [1000003]
 

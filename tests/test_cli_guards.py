@@ -18,19 +18,14 @@ import pytest
 
 import locgenus
 from locgenus import DEFAULT_FINGERPRINT_CAP, FingerprintCapError, PostnikovGenusDescriptor
-from locgenus.cli import main
 from locgenus.genus import FakeSphereModel
+
+from genlib import run_cli
 
 LONG = "7" * 5000
 
 #: The interpreter refuses to convert decimals longer than this (0: no limit).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def assert_one_error_line(err):

@@ -11,18 +11,23 @@ classes there takes arguments of four kinds:
 
 ``ENTRY_POINTS`` gives each entry point a call that answers and, for each
 parameter, the values of the wrong kind. Put in place of the good one,
-each must raise a ``LocgenusError`` at once: never an ``AttributeError``
+each must raise a ``DomainError`` at once: never an ``AttributeError``
 or a ``TypeError``, and never an answer. ``EXEMPT`` names the public
 callables that keep Python's own protocol, and why. A public callable in
 neither fails the test, so each new entry point joins the table.
 ``NAMED_CASES`` holds the calls of defects T1 and S1 (see ROADMAP.md and
 CHANGES.md), entries of the wrong kind inside a collection argument, and
-the cases of the wrong-type tests in ``test_arith``, ``test_genus`` and
-``test_records``, some with the message they pin. ``RANGE_CASES`` holds
-each range refusal given an int past the interpreter's digit limit, which
-must still be a refusal that names the int by its digits.
+every other wrong-kind call a test pins, with the message it pins; each
+must raise a ``DomainError`` too. This file is the one home of those
+refusals: a test elsewhere checks a wrong-kind argument only when it
+checks more than the refusal. ``RANGE_CASES`` holds each range refusal
+given an int past the interpreter's digit limit, which must still be a
+refusal (a ``DomainError`` or a ``ResourceError``) that names the int by
+its digits. Every parameter given such an int must answer or raise a
+``LocgenusError`` at once.
 """
 
+import contextlib
 import sys
 import time
 from decimal import Decimal
@@ -35,6 +40,7 @@ from locgenus import (
     INFINITY,
     STAR,
     ConnectingHom,
+    DomainError,
     FakeSphereModel,
     FiniteComplexDescriptor,
     HeightSequence,
@@ -290,9 +296,9 @@ def test_the_good_arguments_are_answered(name):
     call(**good_arguments(params))
 
 
-def refused_at_once(call):
+def refused_at_once(call, error=DomainError):
     start = time.perf_counter()
-    with pytest.raises(LocgenusError) as refusal:
+    with pytest.raises(error) as refusal:
         call()
     assert time.perf_counter() - start < 1
     return refusal
@@ -409,10 +415,7 @@ NAMED_CASES = {
     # A refusal names the kind it got, so an int past the digit limit is not printed.
     "group-huge-int": (lambda: RankOneGroup(10**5000), "got int"),
     "is_prime-huge-fraction": (lambda: is_prime(Fraction(10**5000)), "got Fraction"),
-    # The cases of test_arith::test_non_integers_are_refused,
-    # test_genus::test_entry_points_refuse_arguments_of_the_wrong_type,
-    # TestEnumerate::test_bounds_must_be_integers and the bool level of
-    # test_records::test_postnikov_level_is_checked.
+    # Wrong kinds at the other entry points, some with the message they pin.
     "is_prime-float": (lambda: is_prime(7.5), None),
     "is_prime-bool": (lambda: is_prime(True), None),
     "height-key": (
@@ -447,6 +450,32 @@ NAMED_CASES = {
             ("blocks", lambda *args: genus._postnikov_genus_blocks(*args, "\n")),
         ]
     },
+    **{
+        f"operation_vanishes-{m!r}": (
+            lambda m=m: build_fake_sphere(3, 2, 1).operation_vanishes(2, m), "multiple m"
+        )
+        for m in (1.5, Fraction(1, 2), Fraction(4), "4", None, True)
+    },
+    **{
+        f"{name}-{descriptor!r}": (
+            lambda build=build, descriptor=descriptor: build(descriptor), "descriptor must be"
+        )
+        for descriptor in (5, None, "{default:0}", HeightSequence(0))
+        for name, build in [
+            ("assemble_global", lambda descriptor: assemble_global(3, descriptor)),
+            ("FakeSphereModel", FakeSphereModel),
+        ]
+    },
+    **{
+        f"cp-dimension-{n!r}": (lambda n=n: cp_fake_descriptor(n, {2: 1}), "complex dimension")
+        for n in (True, 1.0, None)
+    },
+    **{
+        f"postnikov-level-{level!r}": (
+            lambda level=level: PostnikovSection(level), "Postnikov level must be >= 1"
+        )
+        for level in (2.5, "3", None)
+    },
 }
 
 
@@ -466,6 +495,8 @@ def test_exempt_operators_keep_the_protocol(value):
 
 BIG = 10**5000  # 5,001 digits, past the interpreter's default limit of 4,300
 NEGATIVE_BIG = -BIG
+# BIG is even: an odd int this large would start trial division (D3).
+PAST_THE_LIMIT = {"big": BIG, "-big": NEGATIVE_BIG, "Fraction(big)": Fraction(BIG)}
 
 #: Each range refusal, called with an int past the digit limit, and the text
 #: that names it there.
@@ -512,14 +543,49 @@ RANGE_CASES = {
     "factor-bound": (
         lambda: factorize(11**4900, 10), "cannot factor an integer of 5103 digits"
     ),
+    "sieve-bound": (
+        lambda: primes_up_to(BIG), "cannot allocate a sieve up to an integer of 5001 digits"
+    ),
+    "verdict-functor": (
+        lambda: finite_complex_genus_verdict(S3, BIG),
+        "unknown genus functor an integer of 5001 digits",
+    ),
 }
 
-
-@pytest.mark.skipif(
+default_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
     reason="the texts assume the interpreter's default digit limit",
 )
+
+
+@default_digit_limit
 @pytest.mark.parametrize("case", RANGE_CASES)
 def test_a_range_refusal_names_an_int_past_the_digit_limit(case):
     call, message = RANGE_CASES[case]
-    assert message in str(refused_at_once(call).value)
+    assert message in str(refused_at_once(call, LocgenusError).value)
+
+
+@default_digit_limit
+@pytest.mark.parametrize("vanishing_level", [3, 2 * BIG], ids=["vanishes", "survives"])
+def test_a_verdict_names_a_level_past_the_digit_limit_by_its_digits(vanishing_level):
+    space = FiniteComplexDescriptor("S", True, vanishing_level)
+    verdict = finite_complex_genus_verdict(space, PostnikovSection(BIG))
+    assert verdict.reason.endswith("above level an integer of 5001 digits")
+
+
+@pytest.mark.parametrize(
+    "name, param, value",
+    [
+        pytest.param(name, param, value, id=f"{name}-{param}-{label}")
+        for name, (_, params) in ENTRY_POINTS.items()
+        for param in params
+        for label, value in PAST_THE_LIMIT.items()
+    ],
+)
+def test_an_int_past_the_digit_limit_is_answered_or_refused(name, param, value):
+    call, params = ENTRY_POINTS[name]
+    arguments = {**good_arguments(params), param: value}
+    start = time.perf_counter()
+    with contextlib.suppress(LocgenusError):
+        call(**arguments)
+    assert time.perf_counter() - start < 1
