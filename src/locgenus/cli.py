@@ -40,6 +40,7 @@ from .arith import (
     STAR,
     StarType,
     _decimal,
+    _digit_limit,
     is_prime,
     padic_decompose,
 )
@@ -314,10 +315,8 @@ def _cmd_genus_cp(args):
     try:  # both are printed under --json
         text, _ = str(descriptor), str(descriptor.dimension)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ResourceError(
-            f"the answer has an integer past the {limit}-digit print limit"
-        ) from None
+        message = f"the answer has an integer past the {_digit_limit()}-digit print limit"
+        raise ResourceError(message) from None
     return [text], {"descriptor": text, "dimension": descriptor.dimension}
 
 

@@ -23,7 +23,6 @@ prime p scales the invariant of the sphere cover by the complex dimension.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
 
@@ -557,9 +556,6 @@ class GenusVerdict(_Record):
         self._set(kind, space, witness, reason)
 
 
-_COMPLEX_TAG = re.compile(r"^(S|CP)([0-9]+)$")
-_PRODUCT_TAGS = {"S2XS5": "S2xS5", "CP2XS3": "CP2xS3"}
-
 #: Catalogued failures of uniqueness: for these (space, section level)
 #: pairs a second finite complex shares the genus.
 _KNOWN_COUNTEREXAMPLES = {
@@ -571,11 +567,14 @@ _KNOWN_COUNTEREXAMPLES = {
 class FiniteComplexDescriptor(_Record):
     """A catalogued finite complex with the metadata the verdicts need.
 
-    The catalogue is closed: spheres S<n> (n >= 2), complex projective
-    spaces CP<n> (n >= 1), and the two products S2xS5 and CP2xS3. All are
-    simply connected finite complexes; stored per space are whether the
-    second homotopy group is finite and the level above which rational
-    homotopy vanishes. Descriptors are equal when their tags are.
+    The catalogue holds the finite products of spheres S<n> (n >= 2) and
+    complex projective spaces CP<n> (n >= 1), their tags joined by ``x``
+    (as in S2xS5). All are simply connected finite complexes; stored per
+    space are whether the second homotopy group is finite and the level
+    above which rational homotopy vanishes. A product's second homotopy
+    group is the sum of its factors', and its level the largest of theirs.
+    The canonical tag lists the CP factors and then the spheres, each in
+    ascending order. Descriptors are equal when their tags are.
     """
 
     __slots__ = ("tag", "pi2_finite", "rational_vanishing_level")
@@ -593,24 +592,28 @@ class FiniteComplexDescriptor(_Record):
     def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
         text = _require_instance("complex tag", tag, str).strip()
         # str.upper maps some non-ASCII letters to ASCII ones (long s to S).
-        text = text.upper() if text.isascii() else ""
-        if text in _PRODUCT_TAGS:
-            # Both products have an infinite second homotopy group and no
-            # rational homotopy above degree 5.
-            return cls(_PRODUCT_TAGS[text], pi2_finite=False, rational_vanishing_level=5)
-        match = _COMPLEX_TAG.match(text)
-        if match:
-            n = _decimal(match[2])
+        factors = text.upper().split("X") if text.isascii() else [""]
+        pi2_finite, level, spaces = True, 0, []
+        for factor in factors:
+            kind = factor.rstrip("0123456789")
+            digits = factor[len(kind):]
+            # A factor is S or CP and then digits; -1 stands for any other text.
+            n = _decimal(digits) if kind in ("S", "CP") and digits else -1
             if n is None:  # past the interpreter's digit limit
-                raise DomainError(f"complex tag dimension of {len(match[2])} digits is too long")
-            if match[1] == "CP" and n >= 1:
-                return cls(f"CP{n}", pi2_finite=False, rational_vanishing_level=2 * n + 1)
-            if match[1] == "S":
-                if n < 2:
-                    raise DomainError(f"sphere {tag} is not simply connected")
-                level = n if n % 2 == 1 else 2 * n - 1
-                return cls(f"S{n}", pi2_finite=(n != 2), rational_vanishing_level=level)
-        raise DomainError(f"unknown complex tag {tag!r}")
+                raise DomainError(f"complex tag dimension of {len(digits)} digits is too long")
+            if kind == "S" and 0 <= n < 2:  # a single tag is quoted as given
+                shown = tag if len(factors) == 1 else f"S{n}"
+                raise DomainError(f"sphere {shown} is not simply connected")
+            if n < 1:  # CP0, or not a factor
+                raise DomainError(f"unknown complex tag {tag!r}")
+            # pi_2 is infinite for S2 and every CP<n>. Rational homotopy sits
+            # in degree n of an odd sphere, n and 2n - 1 of an even one, and
+            # 2 and 2n + 1 of CP<n>.
+            pi2_finite &= kind == "S" and n != 2
+            level = max(level, 2 * n + 1 if kind == "CP" else n if n % 2 else 2 * n - 1)
+            spaces.append((kind, n))
+        # "CP" sorts before "S", and each kind's dimensions ascend.
+        return cls("x".join(f"{kind}{n}" for kind, n in sorted(spaces)), pi2_finite, level)
 
 
 def finite_complex_genus_verdict(

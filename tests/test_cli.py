@@ -209,6 +209,17 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[0] == "verdict: singleton"
 
+    def test_verdict_on_a_product(self, capsys):
+        code, out, _ = run_cli(capsys, "verdict", "S3xS5", "--functor", "postnikov:5")
+        assert code == 0
+        assert out.splitlines()[0] == "verdict: singleton-among-finite-complexes"
+        code, out, _ = run_cli(capsys, "verdict", "S5xS2", "--functor", "postnikov:2")
+        assert code == 0
+        lines = out.splitlines()
+        assert (lines[1], lines[-1]) == ("space: S2xS5", "witness: CP2xS3")
+        code, _, err = run_cli(capsys, "verdict", "S3xS1", "--functor", "postnikov:5")
+        assert (code, err) == (3, "error: sphere S1 is not simply connected\n")
+
 
 class TestJsonOutput:
     def test_padic(self, capsys):

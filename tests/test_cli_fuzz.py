@@ -63,9 +63,15 @@ rational = st.one_of(
     st.builds("{}/7".format, huge),
     st.sampled_from(["x", "1//2", ""]),
 )
-tag = st.one_of(
-    st.sampled_from(["S2", "S3", "S1", "CP2", "CP0", "S2xS5", "CP2xS3", "T4", ""]),
+#: A factor of a complex tag, catalogued or not.
+factor = st.one_of(
+    st.sampled_from(["S2", "S3", "S1", "CP2", "CP0", "T4", ""]),
     st.builds("{}{}".format, st.sampled_from(["S", "CP"]), number),
+)
+tag = st.one_of(
+    factor,
+    st.sampled_from(["S2xS5", "CP2xS3", "S5xS2", "S3xS1", "S2x"]),
+    st.lists(factor, min_size=2, max_size=4).map("x".join),
 )
 functor = st.one_of(
     st.sampled_from(["neisendorfer", "postnikov:2", "postnikov:x", "bogus"]),
@@ -122,6 +128,7 @@ def argv(draw):
 @settings(max_examples=500, deadline=None)
 @given(argv())
 @example(["verdict", "S" + "9" * 5000, "--functor", "neisendorfer"])
+@example(["verdict", "S2xS" + "9" * 5000, "--functor", "postnikov:5"])
 @example(["padic", "class", "--", "3", "--"])
 @example(["group", "member", "--", "-1/2", "--"])
 @example(["genus", "cp", "--n", "9" * 4300, "{default:0, 3:2}", "--json"])

@@ -373,6 +373,15 @@ NAMED_CASES = {
     ),
     "complex-record": (lambda: FiniteComplexDescriptor("x", "no", 1.5), "pi2_finite must be"),
     "from_tag-unknown": (lambda: FiniteComplexDescriptor.from_tag("1/2"), "unknown complex tag"),
+    "from_tag-factor-S1": (
+        lambda: FiniteComplexDescriptor.from_tag("S3xS1"), "sphere S1 is not simply connected"
+    ),
+    **{
+        f"from_tag-unknown-{tag}": (
+            lambda tag=tag: FiniteComplexDescriptor.from_tag(tag), "unknown complex tag"
+        )
+        for tag in ("S2x", "xS2", "S2xxS5", "CP0xS3", "\u017f2x\u017f5")
+    },
     # An entry of the wrong kind inside a collection: refused, naming the argument.
     "height-mixed-keys": (
         lambda: HeightSequence(0, {2: 1, "x": 1}), "height exceptions must have integer keys"
@@ -571,6 +580,12 @@ def test_a_verdict_names_a_level_past_the_digit_limit_by_its_digits(vanishing_le
     space = FiniteComplexDescriptor("S", True, vanishing_level)
     verdict = finite_complex_genus_verdict(space, PostnikovSection(BIG))
     assert verdict.reason.endswith("above level an integer of 5001 digits")
+
+
+@default_digit_limit
+def test_a_complex_tag_names_a_factor_past_the_digit_limit_by_its_digits():
+    refusal = refused_at_once(lambda: FiniteComplexDescriptor.from_tag("S2xS" + "7" * 5000))
+    assert "complex tag dimension of 5000 digits is too long" in str(refusal.value)
 
 
 @pytest.mark.parametrize(

@@ -536,6 +536,52 @@ class TestFiniteComplexCatalogue:
             FiniteComplexDescriptor.from_tag("S1")
 
 
+#: A catalogued factor: a sphere S2..S12 or a projective space CP1..CP6.
+FACTOR = st.one_of(
+    st.tuples(st.just("S"), st.integers(2, 12)), st.tuples(st.just("CP"), st.integers(1, 6))
+)
+
+
+def rational_degrees(kind, n):
+    """The degrees in which a factor has rational homotopy: the generators
+    of its minimal model. An odd sphere has one, an even sphere a second
+    that kills the square of the first, and CP<n> a second that kills the
+    (n + 1)st power of the first."""
+    if kind == "CP":
+        return {2, 2 * n + 1}
+    return {n} if n % 2 else {n, 2 * n - 1}
+
+
+def spelled(factors, draw):
+    """The factors joined by x in a random order, each in a random case."""
+    case = st.sampled_from([str.upper, str.lower])
+    return "".join(draw(case)(f"x{kind}{n}") for kind, n in draw(st.permutations(factors)))[1:]
+
+
+@given(st.lists(FACTOR, min_size=1, max_size=4), st.data())
+def test_a_product_has_the_invariants_of_its_factors(factors, data):
+    descriptor = FiniteComplexDescriptor.from_tag(spelled(factors, data.draw))
+    degrees = set().union(*(rational_degrees(kind, n) for kind, n in factors))
+    # pi_2 is finitely generated, so it is finite exactly when it has no
+    # rational part; the rational homotopy of a product is the factors' sum.
+    assert descriptor.pi2_finite == (2 not in degrees)
+    assert descriptor.rational_vanishing_level == max(degrees)
+    # The projective spaces come first, then the spheres, each ascending.
+    canonical = sorted(factors, key=lambda factor: (factor[0] != "CP", factor[1]))
+    assert descriptor.tag == "x".join(f"{kind}{n}" for kind, n in canonical)
+    assert FiniteComplexDescriptor.from_tag(descriptor.tag) == descriptor
+
+
+@given(st.lists(FACTOR, min_size=1, max_size=4), st.data())
+def test_a_product_is_the_same_in_every_spelling(factors, data):
+    first, second = (FiniteComplexDescriptor.from_tag(spelled(factors, data.draw)) for _ in "ab")
+    assert first == second and first.tag == second.tag
+    for functor in [Neisendorfer(), *map(PostnikovSection, range(1, 13))]:
+        assert finite_complex_genus_verdict(first, functor) == finite_complex_genus_verdict(
+            second, functor
+        )
+
+
 class TestVerdicts:
     def test_neisendorfer_singleton(self):
         verdict = finite_complex_genus_verdict(

@@ -21,7 +21,9 @@ comes from the token path. An eighth keeps one printer of the command
 line: only ``cli._parser`` builds an ``argparse.ArgumentParser``, and
 ``cli._read_argv``, which reads the argv it can from ``cli._COMMANDS``,
 has no ``raise``, so every usage, help and argparse error comes from the
-tree.
+tree. A ninth keeps one reader of the interpreter's digit limit: only
+``arith`` names ``get_int_max_str_digits``, and ``arith._digit_limit``
+reads 0 where the interpreter has no limit.
 """
 
 import ast
@@ -203,3 +205,10 @@ def test_only_the_tree_builds_an_argparse_parser():
     assert builders == ["cli.py:_parser"]
     raises = raises_in("_read_argv")
     assert not raises, f"cli._read_argv raises at lines {raises}"
+
+
+def test_the_digit_limit_is_read_in_one_place():
+    readers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if "get_int_max_str_digits" in path.read_text()
+    )
+    assert readers == ["arith.py"]
