@@ -155,9 +155,7 @@ def _decimal(text: str) -> int | None:
     # 640 is the smallest nonzero limit, so a short text pays one comparison.
     if len(digits) > 640 and len(digits) > _digit_limit() > 0:
         return None
-    if not (digits.isdigit() and digits.isascii()):
-        return None
-    return int(text)
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _shown(value: object, show=str) -> str:
@@ -189,7 +187,7 @@ def _is_int(value: object) -> bool:
 
 
 def _require_int(name: str, value: object) -> int:
-    # An exact int skips the call: is_prime runs this on every prime it proves.
+    # An exact int skips the call.
     if type(value) is int or _is_int(value):
         return value
     raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
@@ -241,7 +239,8 @@ def is_prime(n: int) -> bool:
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if _require_int("primality candidate", n) < 2:
+    # An exact int skips the checker: this runs on every prime proven.
+    if (n if type(n) is int else _require_int("primality candidate", n)) < 2:
         return False
     if n < 4:
         return True
@@ -515,6 +514,5 @@ class PrimeMap(_Value):
         return f"{type(self).__name__}({self})"
 
     def __str__(self):
-        parts = [f"default:{self._default}"]
-        parts += [f"{p}:{v}" for p, v in self._exceptions.items()]
-        return "{" + ", ".join(parts) + "}"
+        entries = "".join([f", {p}:{v}" for p, v in self._exceptions.items()])
+        return f"{{default:{self._default}{entries}}}"

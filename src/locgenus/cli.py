@@ -292,9 +292,8 @@ def _cmd_genus_rational(args):
 
 
 def _cmd_genus_fingerprint(args):
-    descriptor = parse_descriptor(args.descriptor, args.dim)
-    recovered = assemble_global(args.dim, descriptor).classify()
-    return [str(recovered)], {"descriptor": str(recovered)}
+    text = str(assemble_global(args.dim, parse_descriptor(args.descriptor, args.dim)).classify())
+    return [text], {"descriptor": text}
 
 
 def _cmd_genus_enumerate(args):

@@ -65,9 +65,7 @@ def _require_odd_dimension(n: int) -> None:
 
 def _require_cap(cap: int) -> None:
     if _require_int("fingerprint cap", cap) < 0:
-        raise DomainError(
-            f"fingerprint cap must be a non-negative integer, got {_shown(cap)}"
-        )
+        raise DomainError(f"fingerprint cap must be a non-negative integer, got {_shown(cap)}")
 
 
 def _divides(p: int, entry: NatPlus, m: int) -> bool:
@@ -79,6 +77,11 @@ def _divides(p: int, entry: NatPlus, m: int) -> bool:
     if entry > m.bit_length():
         return m == 0
     return m % p**entry == 0
+
+
+def _probe(entry: NatPlus, j: int) -> bool:
+    """The probe at p^j: whether p^entry divides p^j, read off the exponents."""
+    return isinstance(entry, StarType) or entry <= j
 
 
 class TorsionShape(PrimeMap):
@@ -217,7 +220,8 @@ class PostnikovGenusDescriptor(PrimeMap):
         """Wrap already validated data without checking it again: an odd
         dimension >= 3, and pointed naturals other than the default at
         primes in ascending order."""
-        descriptor = super()._of(default, exceptions)
+        descriptor = cls.__new__(cls)
+        descriptor._default, descriptor._exceptions = default, exceptions
         descriptor._dimension = dimension
         return descriptor
 
@@ -272,12 +276,12 @@ class FakeSphereModel(_Value):
         The operation vanishes on p^(k+1) times it whenever it vanishes on
         p^k, so the search gallops through k = 0, 1, 3, 7, ... (capped at
         ``cap``) and then bisects: an answer k takes at most
-        2*ceil(log2(k+1)) + 1 probes, a refusal ceil(log2(cap+1)) + 1, and
-        no power past p^min(cap, 2k+1) is built. The base point is reported
-        only when the operation vanishes identically; a finite invariant
-        beyond the cap is indistinguishable from it by bounded probing, so
-        the search raises exactly when the probe at p^cap does not vanish.
-        A cap must be an integer >= 0; p is proven prime once.
+        2*ceil(log2(k+1)) + 1 probes, a refusal ceil(log2(cap+1)) + 1. Each
+        probe compares exponents, and no power of p is built. The base point
+        is reported only when the operation vanishes identically; a finite
+        invariant beyond the cap is indistinguishable from it by bounded
+        probing, so the search raises exactly when the probe at p^cap does
+        not vanish. A cap must be an integer >= 0; p is proven prime once.
         """
         _require_cap(cap)
         _require_prime(p)
@@ -292,15 +296,15 @@ class FakeSphereModel(_Value):
         # The probe at p^low fails (low = -1: none made yet); gallop until
         # the probe at p^high vanishes, then bisect between the two.
         low, high = -1, 0
-        while not _divides(p, entry, p**high):
+        while not _probe(entry, high):
             if high == cap:
                 raise FingerprintCapError(
                     f"fingerprint at {p} did not stabilize within cap {cap}"
                 )
-            low, high = high, min(2 * high + 1, cap)
+            low, high = high, 2 * high + 1 if 2 * high < cap else cap
         while high - low > 1:
             mid = (low + high) // 2
-            if _divides(p, entry, p**mid):
+            if _probe(entry, mid):
                 high = mid
             else:
                 low = mid
@@ -318,9 +322,8 @@ class FakeSphereModel(_Value):
         _require_cap(cap)
         support = self._descriptor._exceptions
         default = self._fingerprint(_smallest_prime_outside(support), cap)
-        fingerprints = ((p, self._fingerprint(p, cap)) for p in support)
-        entries = {p: entry for p, entry in fingerprints if entry != default}
-        return PostnikovGenusDescriptor._of(self.dimension, default, entries)
+        entries = {p: entry for p in support if (entry := self._fingerprint(p, cap)) != default}
+        return PostnikovGenusDescriptor._of(self._descriptor._dimension, default, entries)
 
     def restrict_to_prime(self, p: int) -> "FakeSphereModel":
         """The single-prime model carrying this model's invariant at p."""

@@ -1,9 +1,12 @@
 import argparse
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -424,7 +427,18 @@ README_COMMANDS = [
     ["padic", "class", "2", "12"],
     ["padic", "class", "2", "zero"],
     ["verdict", "S2xS5", "--functor", "postnikov:2"],
+    ["verdict", "S3xS5", "--functor", "postnikov:5"],
 ]
+
+
+def test_the_readme_commands_are_the_readme_block():
+    """``README_COMMANDS`` is the README's block of ``locgenus`` commands,
+    each line read as a shell would, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    (block,) = [block for block in blocks if block.startswith("locgenus ")]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert argvs == [["locgenus", *argv] for argv in README_COMMANDS]
 
 
 def json_forms(argv):

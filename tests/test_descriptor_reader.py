@@ -17,7 +17,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from locgenus import ParseError, cli, genus
+from locgenus import ParseError, assemble_global, cli, genus
 from locgenus.cli import (
     _parse_entries, _parse_tokens, _read_valid, main, parse_degree_exponents,
     parse_descriptor, parse_heights,
@@ -223,6 +223,13 @@ def test_valid_text_never_reaches_the_tokenizer(monkeypatch, capsys):
     for argv in README_COMMANDS:
         assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_every_enumerated_line_survives_the_classify_round_trip():
+    for dimension, lines in every_line_of_enumerations():
+        for line in lines:
+            descriptor = parse_descriptor(line, dimension)
+            assert str(assemble_global(dimension, descriptor).classify()) == line
 
 
 def test_an_answered_text_proves_each_key_once(monkeypatch):

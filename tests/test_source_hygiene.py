@@ -23,7 +23,10 @@ line: only ``cli._parser`` builds an ``argparse.ArgumentParser``, and
 has no ``raise``, so every usage, help and argparse error comes from the
 tree. A ninth keeps one reader of the interpreter's digit limit: only
 ``arith`` names ``get_int_max_str_digits``, and ``arith._digit_limit``
-reads 0 where the interpreter has no limit.
+reads 0 where the interpreter has no limit. A tenth keeps the fingerprint
+search on exponents: ``genus.FakeSphereModel._fingerprint`` has no ``**``
+and no ``pow``, so each probe compares exponents and no power of p is
+built.
 """
 
 import ast
@@ -212,3 +215,21 @@ def test_the_digit_limit_is_read_in_one_place():
         path.name for path in PACKAGE.glob("*.py") if "get_int_max_str_digits" in path.read_text()
     )
     assert readers == ["arith.py"]
+
+
+def test_the_fingerprint_search_builds_no_power():
+    (search,) = [
+        node
+        for cls in ast.walk(parse(PACKAGE / "genus.py"))
+        if isinstance(cls, ast.ClassDef) and cls.name == "FakeSphereModel"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_fingerprint"
+    ]
+    powers = [
+        node.lineno
+        for node in ast.walk(search)
+        if isinstance(getattr(node, "op", None), ast.Pow)
+        or isinstance(node, ast.Name) and node.id == "pow"
+        or isinstance(node, ast.Attribute) and node.attr == "pow"
+    ]
+    assert not powers, f"FakeSphereModel._fingerprint builds a power at lines {powers}"
