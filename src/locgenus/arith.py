@@ -159,9 +159,12 @@ def _decimal(text: str) -> int | None:
 
 
 def _shown(value: object, show=str) -> str:
-    """``show(value)`` for a message. Past the interpreter's digit limit,
-    where ``str`` and ``repr`` refuse, an int's sign and number of digits,
-    or the type of any other value."""
+    """``show(value)`` for a message; a text longer than 64 characters by
+    its first 64 and its length. Past the interpreter's digit limit, where
+    ``str`` and ``repr`` refuse, an int's sign and number of digits, or the
+    type of any other value."""
+    if isinstance(value, str) and len(value) > 64:
+        return f"{show(value[:64])}... ({len(value)} characters)"
     try:
         return show(value)
     except ValueError:

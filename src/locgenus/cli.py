@@ -11,9 +11,10 @@ space after each comma and none after colons, and parsing a canonical
 form reproduces it byte for byte. A valid text is read from one match of
 the whole grammar; the token scanner runs only to name an error.
 
-The commands are described once, as data, in ``_COMMANDS``, and argv is
-read from that table (``_read_argv``). The argparse tree is built from it
-only to print help or an error, or for the forms the reader declines.
+The commands are described once, as data, in ``_COMMANDS``; one reader per
+command is built from it at import, and reads argv (``_read_argv``). The
+argparse tree is built from it only to print help or an error, or for the
+forms the reader declines. argparse and json are imported only to print.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 resource guard
 (each error class carries its ``exit_code``), 141 when the reader closes
@@ -23,14 +24,13 @@ stdout before the output ends. Errors are reported on stderr as a single
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arith import (
     DEFAULT_PRECISION,
@@ -41,6 +41,7 @@ from .arith import (
     StarType,
     _decimal,
     _digit_limit,
+    _shown,
     is_prime,
     padic_decompose,
 )
@@ -96,7 +97,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             word = text[i:j]
             if word not in ("default", "inf"):
-                raise ParseError(f"unexpected word {word!r}", i)
+                raise ParseError(f"unexpected word {_shown(word, repr)}", i)
             tokens.append((word, word, i))
         elif c.isspace():
             j = _SPACES.match(text, i).end()
@@ -229,9 +230,13 @@ def parse_degree_exponents(text: str) -> dict[int, int]:
 
 
 def _ascii_int(text: str) -> int:
-    """The argparse type of every integer option, refusing in argparse's words."""
+    """The type of every integer argument in the argparse tree, refusing in
+    argparse's words. It is the tree's type only: ``_read_argv`` reads ints
+    with ``_decimal`` and declines what that refuses."""
     value = _decimal(text)
     if value is None:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return value
 
@@ -242,7 +247,7 @@ def _parse_rational(text: str) -> Fraction:
     n = _decimal(numerator)
     d = _decimal(denominator) if slash else 1
     if n is None or d is None or d <= 0:
-        raise ParseError(f"invalid rational {text!r}")
+        raise ParseError(f"invalid rational {_shown(text, repr)}")
     return Fraction(n, d)
 
 
@@ -323,7 +328,7 @@ def _cmd_padic_class(args):
     # Zero is flagged as the exact zero by from_int.
     n = 0 if args.value.strip().lower() == "zero" else _decimal(args.value)
     if n is None:
-        raise ParseError(f"invalid integer {args.value!r}")
+        raise ParseError(f"invalid integer {_shown(args.value, repr)}")
     decomposition = padic_decompose(PAdicApprox.from_int(n, args.prime, args.precision))
     if isinstance(decomposition, StarType):
         return [str(STAR)], {"class": str(STAR)}
@@ -339,9 +344,9 @@ def _parse_functor(text: str):
     if name.startswith("postnikov:"):
         level = _decimal(name.split(":", 1)[1])
         if level is None:
-            raise ParseError(f"invalid Postnikov level in {text!r}")
+            raise ParseError(f"invalid Postnikov level in {_shown(text, repr)}")
         return PostnikovSection(level)
-    raise ParseError(f"unknown functor {text!r} (use neisendorfer or postnikov:N)")
+    raise ParseError(f"unknown functor {_shown(text, repr)} (use neisendorfer or postnikov:N)")
 
 
 def _cmd_verdict(args):
@@ -398,17 +403,16 @@ _COMMANDS = (
 #: The namespace attribute that records the command word at each depth.
 _DESTS = ("command", "subcommand", "subsubcommand")
 
-#: Each command's ``_COMMANDS`` entry, by its words.
-_ENTRIES = {tuple(entry[0].split()): entry for entry in _COMMANDS}
-
 _JSON_HELP = "emit one JSON object"
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argparse tree of ``_COMMANDS``, built once per process where
     argparse must print or ``_read_argv`` declines argv. A leaf's --json
     has no default, so a command not given the flag keeps the root's."""
+    import argparse
+
     description = "Exact classification of localization-genus data"
     root = argparse.ArgumentParser(prog="locgenus", description=description)
     root.add_argument("--json", action="store_true", help=_JSON_HELP)
@@ -432,59 +436,85 @@ def _parser() -> argparse.ArgumentParser:
     return root
 
 
-def _flag_like(token: str) -> bool:
-    """Whether token starts with '-' and is not a negative decimal, which
-    argparse reads as a positional (no parser here has an option like one)."""
-    return token.startswith("-") and _decimal(token) is None
+def _reader(path: str, arguments, handler):
+    """What ``_read_argv`` needs of one ``_COMMANDS`` entry: the namespace
+    before any token is read (--json off, the command words, the handler,
+    the optional options' defaults); each option's (dest, is an int) by its
+    name; the positionals' in order; and the required options' dests."""
+    namespace = {"json": False, **dict(zip(_DESTS, path.split())), "handler": handler}
+    options, positionals = {}, []
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        kind = (dest, spec.get("type") is _ascii_int)
+        if not name.startswith("-"):
+            positionals.append(kind)
+            continue
+        options[name] = kind
+        if not spec.get("required"):
+            namespace[dest] = spec.get("default")
+    required = {dest for dest, _ in options.values()} - namespace.keys()
+    return namespace, options, positionals, required
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``_parser().parse_args(argv)`` gives, read from the
-    command's ``_COMMANDS`` entry; or None, so that argparse prints help and
-    errors and reads any other form. The reader answers only argv of --json,
-    the command words, its options each with a value that is not flag-like,
+#: Each command's reader, built once, by its words.
+_READERS = {tuple(path.split()): _reader(path, arguments, handler)
+            for path, _, arguments, handler in _COMMANDS}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``_parser().parse_args(argv)`` gives, read in one pass
+    by the command's reader; or None, so that argparse prints help and
+    errors and reads any other form. It answers only argv of --json, the
+    command words, its options each with a value that is not flag-like
+    (starts with '-' and is not a negative decimal, as argparse reads it),
     and its positionals, flag-like only after one '--' that is not last.
     Raises nothing."""
-    rest = list(itertools.dropwhile("--json".__eq__, argv))
-    words = next((w for w in (tuple(rest[:n]) for n in (3, 2, 1)) if w in _ENTRIES), None)
-    if words is None:
+    i, n = 0, len(argv)
+    while i < n and argv[i] == "--json":
+        i += 1
+    # No command's words begin another's, so at most one size matches.
+    for size in (3, 2, 1):
+        words = tuple(argv[i:i + size])
+        if words in _READERS:
+            break
+    else:
         return None
-    _, _, arguments, handler = _ENTRIES[words]
-    values = {"json": len(rest) < len(argv), **dict(zip(_DESTS, words)), "handler": handler}
-    given = {name: [] for name, _ in arguments}  # the texts of each argument
-    positionals = []
-    tokens = iter(rest[len(words):])
-    for token in tokens:
-        if token == "--":
-            after = list(tokens)
+    namespace, options, positionals, required = _READERS[words]
+    values = {**namespace, "json": i > 0}
+    texts = []  # the positionals' texts
+    i += len(words)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token == "--json":
+            values["json"] = True
+        elif token == "--":
             # argparse refuses a last '--' unless a positional is before it,
             # and Python 3.11's mangles a second one.
-            if "--" in after or not after:
+            if i == n or "--" in argv[i:]:
                 return None
-            positionals += after
-        elif token == "--json":
-            values["json"] = True
-        elif _flag_like(token):
-            value = next(tokens, "-")
-            if token not in given or _flag_like(value):
-                return None
-            given[token].append(value)
+            texts += argv[i:]
+            break
+        elif not token.startswith("-") or _decimal(token) is not None:
+            texts.append(token)
         else:
-            positionals.append(token)
-    names = [name for name in given if not name.startswith("-")]
-    if len(positionals) != len(names):
-        return None
-    given.update((name, [text]) for name, text in zip(names, positionals))
-    try:
-        for name, options in arguments:
-            if not given[name] and options.get("required"):
+            if token not in options or i == n:
                 return None
-            # argparse converts each text given and keeps the last.
-            texts = map(options.get("type", str), given[name])
-            values[name.lstrip("-").replace("-", "_")] = [options.get("default"), *texts][-1]
-    except argparse.ArgumentTypeError:
+            dest, is_int = options[token]
+            text, i = argv[i], i + 1
+            value = _decimal(text)
+            # An int must read; any other value must not be flag-like.
+            if value is None and (is_int or text.startswith("-")):
+                return None
+            # argparse keeps the last value of a repeated option.
+            values[dest] = value if is_int else text
+    if len(texts) != len(positionals) or not required <= values.keys():
         return None
-    return argparse.Namespace(**values)
+    for (dest, is_int), text in zip(positionals, texts):
+        values[dest] = value = _decimal(text) if is_int else text
+        if value is None:
+            return None
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -506,6 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         write = sys.stdout.write
         if args.json:
+            import json
+
             # A payload too large to hold comes as pieces of JSON text.
             for piece in [json.dumps(payload)] if isinstance(payload, dict) else payload:
                 write(piece)

@@ -605,10 +605,10 @@ class FiniteComplexDescriptor(_Record):
             if n is None:  # past the interpreter's digit limit
                 raise DomainError(f"complex tag dimension of {len(digits)} digits is too long")
             if kind == "S" and 0 <= n < 2:  # a single tag is quoted as given
-                shown = tag if len(factors) == 1 else f"S{n}"
+                shown = _shown(tag) if len(factors) == 1 else f"S{n}"
                 raise DomainError(f"sphere {shown} is not simply connected")
             if n < 1:  # CP0, or not a factor
-                raise DomainError(f"unknown complex tag {tag!r}")
+                raise DomainError(f"unknown complex tag {_shown(tag, repr)}")
             # pi_2 is infinite for S2 and every CP<n>. Rational homotopy sits
             # in degree n of an odd sphere, n and 2n - 1 of an even one, and
             # 2 and 2n + 1 of CP<n>.

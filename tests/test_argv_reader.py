@@ -112,6 +112,11 @@ def argv_of_a_command(draw):
 @example(case=(["padic", "class", "--", "3", "--"], False))
 @example(case=(["type", "--json", "canon", "x"], False))
 @example(case=(["type", "canon", "-h x"], False))
+@example(case=(["genus", "cp", "{default:0}", "--n"], False))
+@example(case=(["verdict", "S3"], False))
+@example(case=(["padic", "class", "٣", "12"], False))
+@example(case=(["padic", "class", "x", "12"], False))
+@example(case=(["type", "canon", "--json"], False))
 def test_the_reader_agrees_with_the_tree(case):
     argv, exact = case
     printed = io.StringIO()

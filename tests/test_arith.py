@@ -373,3 +373,9 @@ def test_shown_prints_other_values_as_str(digit_limit_640):
     assert arith._shown(4) == "4"
     assert arith._shown("x") == "x"
     assert arith._shown(Fraction(10**700)) == "a Fraction past the digit limit"
+
+
+def test_shown_cuts_a_long_text_to_its_start_and_length():
+    assert arith._shown("x" * 64, repr) == repr("x" * 64)
+    assert arith._shown("x" * 65, repr) == repr("x" * 64) + "... (65 characters)"
+    assert arith._shown("y" * 100_000) == "y" * 64 + "... (100000 characters)"

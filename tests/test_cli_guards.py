@@ -6,7 +6,8 @@ parse error at its position, or a domain error in a complex tag. An
 answer with an integer too long for the interpreter to print is refused
 before any output. A fingerprint entry or a p-adic precision too large
 to build its power is refused by its cap, and a reader that stops early
-ends the output quietly.
+ends the output quietly. A refused text, however long, is echoed by at
+most its first 64 characters and its length.
 """
 
 import os
@@ -355,3 +356,24 @@ def test_postnikov_level_still_answers(capsys):
     code, out, err = run_cli(capsys, "verdict", "S3", "--functor", "postnikov:2")
     assert (code, err) == (0, "")
     assert "reason: rational homotopy survives above level 2\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, refusal",
+    [
+        (["verdict", "T" * 100_000, "--functor", "neisendorfer"], 3, "unknown complex tag 'TTT"),
+        (["verdict", " " * 100_000 + "S1", "--functor", "neisendorfer"], 3, "not simply connected"),
+        (["type", "canon", "{" + "a" * 20_000 + ":0}"], 2, "unexpected word 'aaa"),
+        (["group", "member", "x" * 20_000, "{default:0}"], 2, "invalid rational 'xxx"),
+        (["padic", "class", "2", "x" * 20_000], 2, "invalid integer 'xxx"),
+        (["verdict", "S3", "--functor", "x" * 20_000], 2, "unknown functor 'xxx"),
+        (["verdict", "S3", "--functor", "postnikov:" + "x" * 20_000], 2, "invalid Postnikov"),
+    ],
+    ids=["tag", "spaced-sphere", "word", "rational", "padic-value", "functor", "level"],
+)
+def test_a_long_refused_text_is_shown_by_its_start_and_length(capsys, argv, code, refusal):
+    returned, out, err = run_cli(capsys, *argv)
+    assert (returned, out) == (code, "")
+    assert_one_error_line(err)
+    assert refusal in err and "characters)" in err
+    assert len(err.encode()) < 200

@@ -26,11 +26,17 @@ tree. A ninth keeps one reader of the interpreter's digit limit: only
 reads 0 where the interpreter has no limit. A tenth keeps the fingerprint
 search on exponents: ``genus.FakeSphereModel._fingerprint`` has no ``**``
 and no ``pow``, so each probe compares exponents and no power of p is
-built.
+built. An eleventh keeps argparse and json for printing: in a fresh
+interpreter, a valid command through ``cli.main`` loads neither, one
+under --json loads json alone, and --help loads argparse. It runs in a
+subprocess, since the test modules import argparse themselves.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -233,3 +239,24 @@ def test_the_fingerprint_search_builds_no_power():
         or isinstance(node, ast.Attribute) and node.attr == "pow"
     ]
     assert not powers, f"FakeSphereModel._fingerprint builds a power at lines {powers}"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["type", "canon", "{default:0}"], []),
+        (["type", "canon", "{default:0}", "--json"], ["json"]),
+        (["--help"], ["argparse"]),
+    ],
+    ids=["plain", "json", "help"],
+)
+def test_argparse_and_json_load_only_to_print(argv, loaded):
+    probe = (
+        f"import sys; from locgenus.cli import main; main({argv!r}); "
+        "print(sorted({'argparse', 'json'} & set(sys.modules)), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stderr.splitlines()[-1] == str(loaded)
