@@ -66,18 +66,19 @@ from .rankone import HeightSequence, RankOneGroup, similar, type_of
 # Descriptor grammar
 # ---------------------------------------------------------------------------
 
-#: A run of ASCII digits and a run of spaces, each read by one match.
-#: ``\s`` is exactly ``str.isspace`` (no ``re`` class equals ``str.isalpha``,
-#: so a word keeps its loop).
+#: A run of ASCII digits, of spaces and of word characters, each read by
+#: one match. ``\s`` is exactly ``str.isspace``; ``\w`` takes the letters
+#: of ``str.isalpha`` and also digits, ``_`` and numerals such as ``²``.
 _DIGITS = re.compile(r"[0-9]+")
 _SPACES = re.compile(r"\s+")
+_WORD = re.compile(r"\w+")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """The tokens of a descriptor text, each with its position, ending in
     an ``end`` token; the first lexical error raises ``ParseError``. A run
-    of digits or of spaces is scanned in one match, and a number past the
-    interpreter's digit limit is refused by its length."""
+    of digits, of spaces or of letters is scanned in one match, and a
+    number past the interpreter's digit limit is refused by its length."""
     tokens: list[tuple[str, object, int]] = []
     i = 0
     n = len(text)
@@ -93,8 +94,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 raise ParseError(f"number of {j - i} digits is too long", i)
             tokens.append(("number", value, i))
         elif c.isalpha():
-            while j < n and text[j].isalpha():
-                j += 1
+            j = _WORD.match(text, i).end()
+            if not text[i:j].isalpha():  # cut the run at its first non-letter
+                j = next(k for k in range(i, j) if not text[k].isalpha())
             word = text[i:j]
             if word not in ("default", "inf"):
                 raise ParseError(f"unexpected word {_shown(word, repr)}", i)

@@ -568,31 +568,21 @@ _KNOWN_COUNTEREXAMPLES = {
 
 
 class FiniteComplexDescriptor(_Record):
-    """A catalogued finite complex with the metadata the verdicts need.
+    """A catalogued finite complex, read from its tag (as by ``from_tag``).
 
     The catalogue holds the finite products of spheres S<n> (n >= 2) and
     complex projective spaces CP<n> (n >= 1), their tags joined by ``x``
-    (as in S2xS5). All are simply connected finite complexes; stored per
-    space are whether the second homotopy group is finite and the level
-    above which rational homotopy vanishes. A product's second homotopy
-    group is the sum of its factors', and its level the largest of theirs.
-    The canonical tag lists the CP factors and then the spheres, each in
-    ascending order. Descriptors are equal when their tags are.
+    (as in S2xS5, in any case). All are simply connected finite complexes.
+    The tag fixes, and the reader derives, whether the second homotopy
+    group is finite (the sum of the factors') and the level above which
+    rational homotopy vanishes (the largest of the factors'). The canonical
+    tag lists the CP factors and then the spheres, each in ascending order;
+    descriptors are equal when their canonical tags are.
     """
 
     __slots__ = ("tag", "pi2_finite", "rational_vanishing_level")
 
-    def __init__(self, tag: str, pi2_finite: bool, rational_vanishing_level: int):
-        _require_instance("complex tag", tag, str)
-        _require_instance("pi2_finite", pi2_finite, bool)
-        _require_int("rational vanishing level", rational_vanishing_level)
-        self._set(tag, pi2_finite, rational_vanishing_level)
-
-    def _key(self) -> str:
-        return self.tag
-
-    @classmethod
-    def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
+    def __init__(self, tag: str):
         text = _require_instance("complex tag", tag, str).strip()
         # str.upper maps some non-ASCII letters to ASCII ones (long s to S).
         factors = text.upper().split("X") if text.isascii() else [""]
@@ -616,7 +606,11 @@ class FiniteComplexDescriptor(_Record):
             level = max(level, 2 * n + 1 if kind == "CP" else n if n % 2 else 2 * n - 1)
             spaces.append((kind, n))
         # "CP" sorts before "S", and each kind's dimensions ascend.
-        return cls("x".join(f"{kind}{n}" for kind, n in sorted(spaces)), pi2_finite, level)
+        self._set("x".join(f"{kind}{n}" for kind, n in sorted(spaces)), pi2_finite, level)
+
+    @classmethod
+    def from_tag(cls, tag: str) -> "FiniteComplexDescriptor":
+        return cls(tag)
 
 
 def finite_complex_genus_verdict(

@@ -227,6 +227,9 @@ class TestSentinels:
         assert INFINITY + 5 == INFINITY
         assert 5 + INFINITY == INFINITY
         assert INFINITY + INFINITY == INFINITY
+        for add in (lambda: INFINITY + "x", lambda: "x" + INFINITY, lambda: INFINITY + 1.5):
+            with pytest.raises(TypeError):
+                add()
 
     def test_copies_stay_equal(self):
         import copy
@@ -358,15 +361,27 @@ def test_decimal_reads_any_length_without_a_limit(digit_limit_640):
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("k", [639, 640, 641, 700, 1000, 4299, 4300, 4301, 9999])
+@pytest.mark.parametrize("k", [639, 640, 641, 700, 1000, 1024, 2048, 4299, 4300, 4301, 9999])
 def test_shown_counts_digits_exactly_past_the_limit(digit_limit_640, k):
-    """Either side of each power of ten, where a float logarithm rounds."""
+    """Either side of each power of ten, where a float logarithm rounds:
+    it is one too high at 10**k - 1, and one too low at 10**1024."""
     for n, digits in [(10**k - 1, k), (10**k, k + 1), (10**k + 1, k + 1)]:
         if digits <= 640:
             assert (arith._shown(n), arith._shown(-n)) == (str(n), str(-n))
         else:
             assert arith._shown(n) == f"an integer of {digits} digits"
             assert arith._shown(-n) == f"a negative integer of {digits} digits"
+
+
+def test_shown_counts_digits_as_str_does_up_to_twice_the_limit(digit_limit_640):
+    values = [sign * (10**k + d) for k in range(640, 1281) for d in (-1, 0, 1) for sign in (1, -1)]
+    sys.set_int_max_str_digits(0)
+    texts = [str(n) for n in values]
+    sys.set_int_max_str_digits(640)
+    for n, text in zip(values, texts):
+        digits = len(text.lstrip("-"))
+        shown = f"{'a negative' if n < 0 else 'an'} integer of {digits} digits"
+        assert arith._shown(n) == (text if digits <= 640 else shown)
 
 
 def test_shown_prints_other_values_as_str(digit_limit_640):

@@ -62,6 +62,7 @@ class TestQmodZElement:
     def test_canonicalizes(self):
         assert QmodZElement(Fraction(7, 4)).value == Fraction(3, 4)
         assert QmodZElement(Fraction(-1, 3)) == QmodZElement(Fraction(2, 3))
+        assert str(QmodZElement(Fraction(7, 4))) == "3/4" and str(QmodZElement(2)) == "0"
 
     def test_addition_wraps(self):
         total = QmodZElement(Fraction(3, 4)) + QmodZElement(Fraction(1, 2))

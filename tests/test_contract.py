@@ -222,10 +222,7 @@ ENTRY_POINTS = {
     }),
     "Neisendorfer": (Neisendorfer, {}),
     "PostnikovSection": (PostnikovSection, {"level": (2, INT)}),
-    "FiniteComplexDescriptor": (FiniteComplexDescriptor, {
-        "tag": ("S3", TEXT), "pi2_finite": (True, FLAG),
-        "rational_vanishing_level": (3, INT),
-    }),
+    "FiniteComplexDescriptor": (FiniteComplexDescriptor, {"tag": ("S3", TEXT)}),
     # Strings are the right kind for a tag; one naming no complex is an
     # unknown tag (a named case below).
     "FiniteComplexDescriptor.from_tag": (FiniteComplexDescriptor.from_tag, {"tag": ("S3", TEXT)}),
@@ -371,7 +368,7 @@ NAMED_CASES = {
         lambda: ConnectingHom(HeightSequence(0)).precomposed_by("2"),
         "must be an int or a Fraction",
     ),
-    "complex-record": (lambda: FiniteComplexDescriptor("x", "no", 1.5), "pi2_finite must be"),
+    "complex-record": (lambda: FiniteComplexDescriptor("not a tag"), "unknown complex tag"),
     "from_tag-unknown": (lambda: FiniteComplexDescriptor.from_tag("1/2"), "unknown complex tag"),
     "from_tag-factor-S1": (
         lambda: FiniteComplexDescriptor.from_tag("S3xS1"), "sphere S1 is not simply connected"
@@ -575,11 +572,15 @@ def test_a_range_refusal_names_an_int_past_the_digit_limit(case):
 
 
 @default_digit_limit
-@pytest.mark.parametrize("vanishing_level", [3, 2 * BIG], ids=["vanishes", "survives"])
-def test_a_verdict_names_a_level_past_the_digit_limit_by_its_digits(vanishing_level):
-    space = FiniteComplexDescriptor("S", True, vanishing_level)
-    verdict = finite_complex_genus_verdict(space, PostnikovSection(BIG))
-    assert verdict.reason.endswith("above level an integer of 5001 digits")
+@pytest.mark.parametrize(
+    "tag, level, digits",
+    # S<n> with n even vanishes above 2n - 1: here 2 * 10**4300 - 5.
+    [("S3", BIG, 5001), ("S" + "9" * 4299 + "8", 10**4300, 4301)],
+    ids=["vanishes", "survives"],
+)
+def test_a_verdict_names_a_level_past_the_digit_limit_by_its_digits(tag, level, digits):
+    verdict = finite_complex_genus_verdict(FiniteComplexDescriptor(tag), PostnikovSection(level))
+    assert verdict.reason.endswith(f"above level an integer of {digits} digits")
 
 
 @default_digit_limit

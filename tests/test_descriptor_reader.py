@@ -7,8 +7,8 @@ The token path is the oracle here: on texts built from canonical forms
 with edits, the reader answers exactly the texts the token path answers,
 with the same value, and ``_parse_entries`` gives the token path's value
 or its error, with the same class, message and position. The token
-path's scanner, which reads each run of digits or of spaces in one match,
-agrees in turn with a loop over characters, and refuses a long run
+path's scanner, which reads each run of digits, spaces or letters in one
+match, agrees in turn with a loop over characters, and refuses a long run
 without reading each of its characters.
 """
 
@@ -116,9 +116,17 @@ def test_regex_space_is_str_isspace():
     assert disagree == []
 
 
+def test_regex_word_takes_every_letter():
+    """The scanner's ``\\w`` run holds every ``str.isalpha`` character, so
+    cutting it at its first non-letter gives the whole letter run."""
+    word = re.compile(r"\w")
+    missed = [c for c in map(chr, range(0x110000)) if c.isalpha() and not word.match(c)]
+    assert missed == []
+
+
 def tokenize_by_character(text):
     """``cli._tokenize`` as a loop over characters: the oracle of the
-    scanner, which reads each run of digits or of spaces in one match."""
+    scanner, which reads each run of digits, spaces or letters in one match."""
     tokens = []
     i = 0
     n = len(text)
@@ -166,7 +174,7 @@ run = st.one_of(
         lambda spaces, repeat: "".join(spaces) * repeat,
         st.lists(st.sampled_from(SPACES), min_size=1, max_size=8), st.integers(1, 600),
     ),
-    st.sampled_from(["{", "}", ":", ",", "*", "default", "inf", "x", "\u0663", "\u00b2",
+    st.sampled_from(["{", "}", ":", ",", "*", "default", "inf", "x", "_", "\u0663", "\u00b2",
                      "-", *NOT_SPACES]),
 )
 
@@ -176,6 +184,9 @@ run = st.one_of(
 @example(text="{default:" + "7" * 4300 + "}")
 @example(text="{default:" + "0" * 4301 + "}")
 @example(text=" \u3000\x85" * 2000 + "{default:0}\u200b")
+@example(text="{ab\u00b2:0}")
+@example(text="{a_b:0}")
+@example(text="{default:inf2}")
 def test_the_scanner_agrees_with_a_loop_over_characters(text):
     assert tokens_or_error(cli._tokenize, text) == tokens_or_error(tokenize_by_character, text)
 
@@ -191,8 +202,14 @@ class CountingStr(str):
 
 
 @pytest.mark.parametrize(
-    "text", ["{default:" + "9" * 20000 + "}", "{" + " " * 20000 + "default:0, 4:1}"],
-    ids=["digits", "spaces"],
+    "text",
+    [
+        "{default:" + "9" * 20000 + "}",
+        "{" + " " * 20000 + "default:0, 4:1}",
+        "{" + "a" * 20000 + ":0}",
+        "{default:inf\u00b2" + "\u00e9" * 20000 + "}",
+    ],
+    ids=["digits", "spaces", "letters", "numeral-cut"],
 )
 def test_a_long_run_is_refused_without_reading_each_character(text):
     counted = CountingStr(text)

@@ -273,6 +273,9 @@ class TestTypeAndShapeForms:
     def test_pinned_reprs(self):
         assert repr(type_of(HeightSequence(INFINITY, {3: 5}))) == "TypeClass({default:inf, 3:0})"
         assert repr(TorsionShape({7, 3}, complement=True)) == "TorsionShape(all_except 3,7)"
+        assert repr(FakeSphereModel(PostnikovGenusDescriptor(3, 0, {2: 5}))) == (
+            "FakeSphereModel(PostnikovGenusDescriptor(dimension=3, {default:0, 2:5}))"
+        )
 
     def test_contains_proves_its_argument_prime(self):
         with pytest.raises(DomainError):

@@ -43,7 +43,7 @@ def verdict(tag, functor):
     return finite_complex_genus_verdict(FiniteComplexDescriptor.from_tag(tag), functor)
 
 
-#: Each record with the text it printed when the records were dataclasses.
+#: Each record with the text it prints, as it did when the records were dataclasses.
 PRINTED = [
     (PAdicApprox.from_int(12, 2, 8), "PAdicApprox(prime=2, precision=8, residue=12, exactly_zero=False)"),
     (PAdicApprox(5, 3, 7), "PAdicApprox(prime=5, precision=3, residue=7, exactly_zero=False)"),
@@ -57,6 +57,10 @@ PRINTED = [
     (
         FiniteComplexDescriptor.from_tag("s3"),
         "FiniteComplexDescriptor(tag='S3', pi2_finite=True, rational_vanishing_level=3)",
+    ),
+    (
+        FiniteComplexDescriptor(" cp1xS4xs2 "),
+        "FiniteComplexDescriptor(tag='CP1xS2xS4', pi2_finite=False, rational_vanishing_level=7)",
     ),
     (
         verdict("S3", Neisendorfer()),
@@ -141,10 +145,30 @@ def test_copies_are_equal_with_equal_hashes(record, round_trip):
 
 
 def test_complexes_compare_by_tag_alone():
-    a = FiniteComplexDescriptor("S3", True, 3)
-    b = FiniteComplexDescriptor("S3", False, 9)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != FiniteComplexDescriptor("S5", True, 3)
+    spaced = FiniteComplexDescriptor(" s5xs2 ")
+    assert spaced.tag == "S2xS5"
+    for twin in (FiniteComplexDescriptor("S2xS5"), FiniteComplexDescriptor.from_tag("S2xS5")):
+        assert spaced == twin and hash(spaced) == hash(twin) and len({spaced, twin}) == 1
+    assert spaced != FiniteComplexDescriptor("S5")
+    with pytest.raises(TypeError):  # the invariants follow from the tag
+        FiniteComplexDescriptor("S3", False, 9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteComplexDescriptor("S3", False, 9),
+        lambda: FiniteComplexDescriptor("not a tag", True, 3),
+        lambda: FiniteComplexDescriptor("S3", pi2_finite=False),
+        lambda: FiniteComplexDescriptor("S3", rational_vanishing_level=9),
+        lambda: FiniteComplexDescriptor.from_tag("S3", False, 9),
+    ],
+    ids=["both", "unread-tag", "pi2_finite", "rational_vanishing_level", "from_tag"],
+)
+def test_the_invariants_are_not_arguments(build):
+    # Either would set a value the tag fixes, or skip reading the tag.
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_records_compare_by_fields():
